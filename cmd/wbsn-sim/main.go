@@ -119,7 +119,7 @@ func main() {
 	scenarioPath := flag.String("scenario", "", "scenario file providing the signal configuration (and default app/duration)")
 	dumpMapping := flag.Bool("dump-mapping", false, "print code/data placement and exit")
 	traceN := flag.Int("trace", 0, "record platform events and print the last N")
-	exact := flag.Bool("exact", false, "disable idle fast-forward; simulate every cycle (bit-identical results, slower)")
+	exact := flag.Bool("exact", false, "disable every fast path (idle and spin fast-forward, block runs, strides); simulate every cycle (bit-identical results, slower)")
 	sweepArchs := flag.Bool("sweep", false, "solve and measure the app on sc, mc-nosync and mc (ignores -arch/-clock-mhz/-voltage; incompatible with -trace/-dump-mapping)")
 	probe := flag.Float64("probe", 2.5, "simulated seconds per operating-point probe (-sweep)")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "parallel sweep workers (-sweep; results are identical for any value)")

@@ -69,11 +69,12 @@ type Options struct {
 	// Scenario labels the options with the scenario they came from; it only
 	// affects progress and error reporting.
 	Scenario string
-	// Exact disables the simulator's idle fast-forward engine, forcing
-	// cycle-by-cycle simulation. Results are bit-identical either way
-	// (enforced by the platform's golden-equivalence tests); exact mode
-	// exists as a cross-check and costs roughly the idle fraction of the
-	// run in extra wall-clock time.
+	// Exact disables all four of the simulator's fast paths (idle and spin
+	// fast-forward, block runs and strides), forcing cycle-by-cycle
+	// simulation. Results are bit-identical either way (enforced by the
+	// platform's golden-equivalence tests); exact mode exists as a
+	// cross-check and is many times slower on the idle-dominated
+	// workloads.
 	Exact bool
 	// Cache, when non-nil, memoizes signal synthesis. The sweep engine
 	// injects a shared cache so each distinct record is synthesized once

@@ -50,9 +50,17 @@
 // asymptotically worse than the spin engine's O(1) leap per proven period.
 // On a taken backward branch of spin-detectable distance the engine
 // therefore yields stickily (per-core yield spans) and lets Step feed the
-// spin detector until that core's PC leaves the loop body. With the idle
-// fast-forward leaping the quiescent cycles, the four engines compose:
-// idle FF / spin FF / single-core blocks / multi-core strides.
+// spin detector while that core's PC stays in the loop body. Short loops
+// are also what DSP kernels are made of, and a loop whose registers march
+// (an induction variable, a walking pointer) can never recur, so the spin
+// engine can never leap it. The yield therefore carries a verdict: at each
+// visit to the loop head the core's full state is compared with the
+// previous visit, and blockVerdictVisits consecutive differences release
+// the yield and record the loop's latch as unleapable for the platform's
+// lifetime, so later entries of that loop run here from their first
+// iteration. A genuine poll loop recurs at its head and keeps its yield.
+// With the idle fast-forward leaping the quiescent cycles, the four engines
+// compose: idle FF / spin FF / single-core blocks / multi-core strides.
 //
 // Like the fast-forward engines, everything here is simulation-process
 // state: Restore and Fork reset it (snapshot.go) and leap/engagement
@@ -82,19 +90,41 @@ import (
 // changes an architectural observable.
 const blockMCRetry = 64
 
+// blockVerdictVisits is how many consecutive visits to a yielded loop's
+// head, each in a core state differing from the visit before, prove the
+// loop unleapable; the first visit after the yield has nothing to recur
+// from and counts as a change. The spin engine's recurrence proof needs
+// every running core's state to repeat exactly, so a loop whose head state
+// keeps changing is Step's cost with nothing to gain from yielding. Three
+// visits judge even the four-trip loops of the bundled DSP kernels before
+// they exit. A poll loop whose polled word changes now and then differs at
+// one visit per change and keeps its yield.
+const blockVerdictVisits = 3
+
+// spinYield is one core's sticky spin yield and the verdict on its loop.
+type spinYield struct {
+	on      bool
+	lo, hi  int      // loop head and latch (the backward branch) PCs
+	atHead  bool     // the previous check already counted this head visit
+	seen    bool     // head holds an earlier visit's state
+	changes int      // consecutive head visits whose state differed from the one before
+	head    cpu.Core // core state at the previous head visit
+}
+
 // blockEngine is the engine state embedded in Platform.
 type blockEngine struct {
 	// set is the image's basic-block metadata, built once in New and shared
 	// with forks (the image is immutable).
 	set *mem.BlockSet
 
-	// Sticky per-core spin-yield spans: while core c's PC lies in
-	// [yieldLo[c], yieldHi[c]] the engine stays off any stretch c
-	// participates in, so the spin detector sees an uninterrupted stepped
-	// instruction stream (spinff.go).
-	yield   []bool
-	yieldLo []int
-	yieldHi []int
+	// Sticky per-core spin yields: while core c's PC lies in its yielded
+	// loop the engine stays off any stretch c participates in, so the spin
+	// detector sees an uninterrupted stepped instruction stream
+	// (spinff.go).
+	yield []spinYield
+	// unleapable marks, by IM address, the latches of loops judged
+	// unleapable (blockVerdictVisits); nil until the first verdict.
+	unleapable []bool
 
 	// mcNextTry gates multi-core stride attempts after a fruitless plan
 	// (see blockMCRetry).
@@ -115,9 +145,7 @@ type blockEngine struct {
 // blockInit sizes the engine's per-core state for ncore cores; called once
 // from New after the block tables are built.
 func (b *blockEngine) blockInit(ncore int) {
-	b.yield = make([]bool, ncore)
-	b.yieldLo = make([]int, ncore)
-	b.yieldHi = make([]int, ncore)
+	b.yield = make([]spinYield, ncore)
 	b.active = make([]int, 0, ncore)
 	b.dm = make([]interco.Request, 0, ncore)
 	b.im = make([]interco.Request, 0, ncore)
@@ -147,13 +175,14 @@ func (p *Platform) BlockMCStrides() uint64 { return p.block.mcRuns }
 // engine.block_stride_cycles.cN histograms for the split).
 func (p *Platform) BlockMCCycles() uint64 { return p.block.mcCycles }
 
-// blockReset clears the engine's sticky yields, probe back-off and
-// diagnostics: Restore, Fork. The block tables themselves derive from the
-// immutable image and survive.
+// blockReset clears the engine's sticky yields, loop verdicts, probe
+// back-off and diagnostics: Restore, Fork. The block tables themselves
+// derive from the immutable image and survive.
 func (p *Platform) blockReset() {
 	for c := range p.block.yield {
-		p.block.yield[c] = false
+		p.block.yield[c] = spinYield{}
 	}
+	clear(p.block.unleapable)
 	p.block.mcNextTry = 0
 	p.block.runs = 0
 	p.block.cycles = 0
@@ -190,6 +219,7 @@ func (p *Platform) blockRun(limit uint64) {
 	// per-cycle counter increments on either path.
 	anchor := -1
 	nrun := 0
+	spinning := false
 	var gated, halted uint64
 	for c := 0; c < p.ncore; c++ {
 		switch p.sync.State(c) {
@@ -197,6 +227,10 @@ func (p *Platform) blockRun(limit uint64) {
 			nrun++
 			if anchor < 0 {
 				anchor = c
+			}
+			// Every running core's loop is judged, even once one spins.
+			if p.blockYielded(c) {
+				spinning = true
 			}
 		case core.StateGated:
 			gated++
@@ -207,6 +241,8 @@ func (p *Platform) blockRun(limit uint64) {
 	switch {
 	case nrun == 0:
 		return // fully idle: the quiescence engine's territory
+	case spinning:
+		return // a running core spins: the spin detector's domain
 	case nrun == 1:
 		p.blockRunSingle(limit, anchor, gated, halted)
 	default:
@@ -217,12 +253,6 @@ func (p *Platform) blockRun(limit uint64) {
 // blockRunSingle is the one-running-core fast path (see the file comment).
 func (p *Platform) blockRunSingle(limit uint64, anchor int, gated, halted uint64) {
 	cr := p.cores[anchor]
-	if p.block.yield[anchor] {
-		if cr.PC >= p.block.yieldLo[anchor] && cr.PC <= p.block.yieldHi[anchor] {
-			return // inside a yielded spin loop: keep stepping
-		}
-		p.block.yield[anchor] = false
-	}
 	if cr.Fetched {
 		return // held instruction from a DM stall: Step must replay it
 	}
@@ -299,12 +329,7 @@ loop:
 				taken++
 				instrs++
 				cyc++
-				if cr.PC <= prevPC && prevPC-cr.PC < core.MaxSpinPeriod {
-					// A tight backward loop is the spin detector's domain:
-					// its O(1) leap beats executing every iteration. Yield
-					// stickily until the PC leaves the loop body.
-					p.block.yield[anchor] = true
-					p.block.yieldLo[anchor], p.block.yieldHi[anchor] = cr.PC, prevPC
+				if p.blockYield(anchor, prevPC) {
 					break loop
 				}
 				continue
@@ -376,12 +401,6 @@ func (p *Platform) blockRunMulti(limit uint64, gated, halted uint64) {
 			continue
 		}
 		cr := p.cores[c]
-		if be.yield[c] {
-			if cr.PC >= be.yieldLo[c] && cr.PC <= be.yieldHi[c] {
-				return // a participant spins: the spin detector's domain
-			}
-			be.yield[c] = false
-		}
 		if cr.Fetched {
 			return // held instruction from a DM stall: Step must replay it
 		}
@@ -485,11 +504,8 @@ stride:
 				cr.IR = ins
 				if cr.ExecuteBlock(ins, loadVal) {
 					taken++
-					if cr.PC <= pc0 && pc0-cr.PC < core.MaxSpinPeriod {
-						// Yield this core's loop to the spin detector; the
-						// cycle still commits for every participant.
-						be.yield[act[i]] = true
-						be.yieldLo[act[i]], be.yieldHi[act[i]] = cr.PC, pc0
+					// The cycle still commits for every participant.
+					if p.blockYield(act[i], pc0) {
 						yielded = true
 					}
 				}
@@ -625,11 +641,8 @@ stride:
 			cr.IR = ins
 			if cr.ExecuteBlock(ins, loadVal) {
 				taken++
-				if cr.PC <= prevPC && prevPC-cr.PC < core.MaxSpinPeriod {
-					// Yield this core's loop to the spin detector; the
-					// cycle still commits for every participant.
-					be.yield[c] = true
-					be.yieldLo[c], be.yieldHi[c] = cr.PC, prevPC
+				// The cycle still commits for every participant.
+				if p.blockYield(c, prevPC) {
 					yielded = true
 				}
 			}
@@ -710,6 +723,61 @@ func (p *Platform) blockEnd(limit uint64) uint64 {
 		}
 	}
 	return end
+}
+
+// blockYield is called after core c took a branch from latch inside a
+// stretch. A tight backward loop is the spin detector's domain — its O(1)
+// leap beats executing every iteration — unless the loop was already judged
+// unleapable, so it reports whether the engine must yield core c stickily,
+// and if so opens the yield span.
+func (p *Platform) blockYield(c, latch int) bool {
+	head := p.cores[c].PC
+	if head > latch || latch-head >= core.MaxSpinPeriod ||
+		latch < len(p.block.unleapable) && p.block.unleapable[latch] {
+		return false
+	}
+	p.block.yield[c] = spinYield{on: true, lo: head, hi: latch}
+	return true
+}
+
+// blockYielded reports whether running core c is inside its yielded spin
+// loop and must keep stepping. It also judges the loop: each visit to the
+// head — the core about to fetch it, counted once however long the fetch
+// waits — compares the core's state with the previous visit's, and
+// blockVerdictVisits consecutive differences release the yield and record
+// the latch as unleapable.
+func (p *Platform) blockYielded(c int) bool {
+	y := &p.block.yield[c]
+	if !y.on {
+		return false
+	}
+	cr := p.cores[c]
+	if cr.PC < y.lo || cr.PC > y.hi {
+		y.on = false // the loop exited
+		return false
+	}
+	if cr.PC != y.lo || cr.Bubble != 0 || cr.Fetched {
+		y.atHead = false
+		return true
+	}
+	if y.atHead {
+		return true
+	}
+	y.atHead = true
+	if y.seen && *cr == y.head {
+		y.changes = 0 // the head state recurred: a leap may lie ahead
+		return true
+	}
+	y.seen, y.head = true, *cr
+	if y.changes++; y.changes < blockVerdictVisits {
+		return true
+	}
+	if p.block.unleapable == nil {
+		p.block.unleapable = make([]bool, isa.IMWords)
+	}
+	p.block.unleapable[y.hi] = true
+	y.on = false
+	return false
 }
 
 // blockSpinHygiene resets the spin detector for a stride participant: the

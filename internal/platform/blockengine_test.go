@@ -3,6 +3,7 @@ package platform
 import (
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/isa"
 	"repro/internal/trace"
 )
@@ -428,5 +429,173 @@ func TestBlockEngineYieldsSpinLoops(t *testing.T) {
 	}
 	if fast.BlockCycles() > 64 {
 		t.Errorf("block engine executed %d cycles of a spin loop, want only the pre-yield prefix", fast.BlockCycles())
+	}
+}
+
+// countedLoopSrc is the shape of the bundled DSP kernels: a nine-instruction
+// counted loop whose loads walk a window through a marching index, nested in
+// a short outer loop that publishes its accumulator through a per-core
+// private word. Both backward branches are of spin-detectable distance, but
+// neither loop's state ever recurs, so the spin engine can never leap them.
+const countedLoopSrc = `
+.code main
+    li   r4, 256        ; shared input window
+    li   r10, 1216      ; private output word
+    li   r8, 12         ; trip count
+    li   r6, 0          ; accumulator
+outer:
+    li   r5, 0          ; induction register
+loop:
+    add  r9, r4, r5
+    lw   r1, 0(r9)
+    lw   r2, 12(r9)
+    mul  r3, r1, r2
+    srai r3, r3, 2
+    add  r6, r6, r3
+    xor  r6, r6, r5
+    addi r5, r5, 1
+    blt  r5, r8, loop
+    sw   r6, 0(r10)
+    j    outer
+`
+
+// countedLoopImage places countedLoopSrc at IM address 0 as shared code for
+// ncore lock-step cores over an initialized input window.
+func countedLoopImage(t *testing.T, ncore int) *Image {
+	t.Helper()
+	code, _, _, err := asm.AssembleSnippet(countedLoopSrc, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := make([]uint16, 24)
+	for i := range in {
+		in[i] = uint16(i*i*37 + 11)
+	}
+	img := &Image{
+		Code:   []CodeSeg{{Base: 0, Words: code}},
+		Shared: []DataSeg{{Base: 256, Words: in}},
+	}
+	if ncore > 1 {
+		img.SharedLimit = 1024
+	}
+	for c := 0; c < ncore; c++ {
+		img.Entries = append(img.Entries, 0)
+	}
+	return img
+}
+
+// nonIdleCycles counts the cycles of a run the idle fast-forward did not
+// leap: those the spin engine, the block engine or Step had to carry.
+func nonIdleCycles(p *Platform) uint64 { return p.Cycle() - p.FFSkippedCycles() }
+
+// TestBlockEngineCountedLoopSC: a marching counted loop sits in the spin
+// yield's domain (short backward branch) but can never be leapt, so after
+// the yield's verdict the block engine must carry it — from the first
+// iteration of every later entry — bit-identically.
+func TestBlockEngineCountedLoopSC(t *testing.T) {
+	mk := func(t *testing.T) *Image { return countedLoopImage(t, 1) }
+	exact, fast := runModesUntraced(t, scCfg(), mk, 60_000)
+	assertIdenticalNoTrace(t, exact, fast)
+	v, _ := exact.PeekData(0, 1216)
+	if w, _ := fast.PeekData(0, 1216); w != v {
+		t.Error("kernel output diverges")
+	}
+	if fast.SpinSkippedCycles() != 0 {
+		t.Errorf("spin engine leapt %d cycles of a marching loop, want 0", fast.SpinSkippedCycles())
+	}
+	if got, all := fast.BlockCycles(), nonIdleCycles(fast); got*10 < all*9 {
+		t.Errorf("block engine carried %d of %d non-idle cycles, want at least 90%%", got, all)
+	}
+
+	// Verdicts are process state: rewinding the platform clears them, and
+	// it judges its loops anew on the way back to the same end state.
+	p, err := New(scCfg(), mk(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Run(20_000); err != nil {
+		t.Fatal(err)
+	}
+	snap := p.Snapshot()
+	if err := p.Run(40_000); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, judged := range p.block.unleapable {
+		if judged {
+			t.Fatal("Restore kept the loop verdicts")
+		}
+	}
+	if err := p.Run(40_000); err != nil {
+		t.Fatal(err)
+	}
+	assertIdenticalNoTrace(t, exact, p)
+}
+
+// TestBlockEngineCountedLoopMC: the same counted loop in lock-step on three
+// MC cores (merged reads of the shared window, private stores on distinct
+// banks) must be carried by multi-core strides once every participant's
+// yield has its verdict.
+func TestBlockEngineCountedLoopMC(t *testing.T) {
+	mk := func(t *testing.T) *Image { return countedLoopImage(t, 3) }
+	exact, fast := runModesUntraced(t, mcCfg(), mk, 60_000)
+	assertIdenticalNoTrace(t, exact, fast)
+	for c := 0; c < 3; c++ {
+		v, _ := exact.PeekData(c, 1216)
+		if w, _ := fast.PeekData(c, 1216); w != v {
+			t.Errorf("core %d kernel output diverges", c)
+		}
+	}
+	if got, all := fast.BlockMCCycles(), nonIdleCycles(fast); got*10 < all*9 {
+		t.Errorf("multi-core strides carried %d of %d non-idle cycles, want at least 90%%", got, all)
+	}
+}
+
+// TestBlockEngineVerdictSparesSettlingPoll: the verdict must not take a
+// genuine poll loop away from the spin engine. A producer core rewrites the
+// polled word three times with gaps and halts; each rewrite changes the
+// poller's head state at one visit only, so the poll loop keeps its yield
+// and is spin-leapt once it settles.
+func TestBlockEngineVerdictSparesSettlingPoll(t *testing.T) {
+	poller := `
+.code poller
+    li   r7, 200
+    li   r3, -1         ; a value the producer never writes
+poll:
+    lw   r1, 0(r7)
+    bne  r1, r3, poll
+    halt
+`
+	producer := `
+.code producer
+    li   r7, 200
+    li   r2, 0
+    li   r6, 3          ; rewrites
+next:
+    li   r5, 40         ; gap
+gap:
+    addi r5, r5, -1
+    bnez r5, gap
+    addi r2, r2, 1
+    sw   r2, 0(r7)
+    blt  r2, r6, next
+    halt
+`
+	const budget = 60_000
+	mk := func(t *testing.T) *Image {
+		// Distinct IM banks let a stride carry both cores, so the poller
+		// is already yielded when the rewrites land.
+		return buildImage(t, 0x2000, 0, []string{poller, producer}, []int{0, isa.IMBankWords},
+			[]DataSeg{{Base: 200, Words: []uint16{0}}})
+	}
+	exact, fast := runModesUntraced(t, mcCfg(), mk, budget)
+	assertIdenticalNoTrace(t, exact, fast)
+	if fast.CoreRegs(1)[2] != 3 {
+		t.Fatal("producer did not finish its three rewrites")
+	}
+	if skipped := fast.SpinSkippedCycles(); skipped*10 < budget*9 {
+		t.Errorf("spin engine skipped only %d of %d cycles; the settled poll loop must be leapt", skipped, budget)
 	}
 }

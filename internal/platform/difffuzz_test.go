@@ -6,14 +6,15 @@
 // differential suites pin the cases we thought of; this fuzzer generates the
 // ones we didn't. Each case assembles a small random program from the real
 // ISA encoder — arithmetic, loads/stores through shared and private windows,
-// MMIO probes, forward and backward branches, jumps, sync ISE forms, SLEEP
-// and HALT — lays it out across 1–4 cores in one of three placements
-// (lock-step shared code, same-IM-bank private copies, distinct-bank private
-// copies), runs it through an exact platform and a fast one (optionally
-// chunked across two Run calls), and asserts that every observable —
-// counters, registers, the entire data memory and its write generation, the
-// synchronizer state, debug and violation streams, fault messages — is
-// bit-identical.
+// MMIO probes, forward and backward branches, counted loops shorter than
+// core.MaxSpinPeriod (the spin yield hands them to the block engine
+// mid-loop), jumps, sync ISE forms, SLEEP and HALT — lays it out across 1–4
+// cores in one of three placements (lock-step shared code, same-IM-bank
+// private copies, distinct-bank private copies), runs it through an exact
+// platform and a fast one (optionally chunked across two Run calls), and
+// asserts that every observable — counters, registers, the entire data
+// memory and its write generation, the synchronizer state, debug and
+// violation streams, fault messages — is bit-identical.
 //
 // The generator is seeded deterministically per (core count, case index), so
 // any failure reproduces in isolation:
@@ -57,7 +58,9 @@ func fuzzProg(rng *rand.Rand, nsync int) []isa.Word {
 
 	// Registers the generator writes freely; r4 (shared base) and r9
 	// (private base) stay stable so most memory traffic lands in powered,
-	// initialized windows.
+	// initialized windows. r14 and r15 belong to the counted-loop template:
+	// written nowhere else, they bound every entry of such a loop, even one
+	// a random branch lands in.
 	work := []uint8{1, 2, 3, 5, 6, 7, 8, 10, 11, 12}
 	wr := func() uint8 { return work[rng.Intn(len(work))] }
 
@@ -72,8 +75,28 @@ func fuzzProg(rng *rand.Rand, nsync int) []isa.Word {
 	n := 10 + rng.Intn(25)
 	for i := 0; i < n; i++ {
 		switch k := rng.Intn(100); {
-		case k < 38: // R-type ALU
+		case k < 35: // R-type ALU
 			w = append(w, enc(aluR[rng.Intn(len(aluR))], wr(), wr(), wr(), 0))
+		case k < 38: // counted loop: r14 marches through a window up to r15
+			base := uint8(4)
+			if rng.Intn(2) == 0 {
+				base = 9
+			}
+			off := int32(rng.Intn(24))
+			w = append(w,
+				enc(isa.OpADDI, 14, base, 0, off),
+				enc(isa.OpADDI, 15, base, 0, off+2+int32(rng.Intn(14))),
+			)
+			head := int32(len(w))
+			for j, nb := 0, 1+rng.Intn(8); j < nb; j++ {
+				if rng.Intn(2) == 0 {
+					w = append(w, enc(isa.OpLW, wr(), 14, 0, int32(rng.Intn(16))))
+				} else {
+					w = append(w, enc(aluR[rng.Intn(len(aluR))], wr(), wr(), wr(), 0))
+				}
+			}
+			w = append(w, enc(isa.OpADDI, 14, 14, 0, 1))
+			w = append(w, enc(isa.OpBLTU, 0, 14, 15, head-int32(len(w))-1))
 		case k < 58: // I-type ALU
 			op := aluI[rng.Intn(len(aluI))]
 			imm := int32(rng.Intn(1024)) - 512

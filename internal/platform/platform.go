@@ -4,24 +4,27 @@
 // single-core baseline), the synchronizer unit, the ADC peripheral, and the
 // single-threaded deterministic cycle loop tying them together (paper §IV).
 //
-// Three architecture variants are supported: SC (single-core baseline), MC
+// The paper's three architectures — SC (single-core baseline), MC
 // (multi-core with the proposed synchronization) and MC-nosync (multi-core
-// with busy-waiting instead of the sync ISE, Figure 6's middle bar).
+// with busy-waiting instead of the sync ISE, Figure 6's middle bar) — are
+// presets of the declarative sync-unit descriptor power.Arch.
 //
 // # Simulation engine
 //
 // Run is a multi-mode engine over one cycle-accurate core: Step (step.go)
-// simulates a single platform cycle in seven phases, two fast-forward
-// paths leap over stretches Step would simulate without anything
-// observable happening — fully quiescent stretches (fastforward.go: every
-// core halted, gated or inside its wake latency) and proven-periodic
-// spin-loop stretches (spinff.go: every running core busy-waiting in a
-// side-effect-free loop, the MC-nosync idiom) — and a basic-block engine
-// (blockengine.go) executes single-core compute-bound stretches from
-// per-image predecoded block tables with bulk accounting, removing Step's
-// per-cycle dispatch overhead without skipping any work. All three are
-// bit-identical to stepping; Config.Exact / SetExact force the
-// cycle-by-cycle path as an escape hatch and as the reference the
+// simulates a single platform cycle in seven phases, and four fast paths
+// take over wherever they provably match it. Two fast-forward engines leap
+// over stretches Step would simulate without anything observable
+// happening — fully quiescent stretches (fastforward.go: every core
+// halted, gated or inside its wake latency) and proven-periodic spin-loop
+// stretches (spinff.go: every running core busy-waiting in a
+// side-effect-free loop, the MC-nosync idiom). The basic-block engine
+// (blockengine.go) executes compute-bound stretches from per-image
+// predecoded block tables with bulk accounting, as single-core block runs
+// and as multi-core lock-step strides proven conflict-free cycle by cycle,
+// removing Step's per-cycle dispatch overhead without skipping any work.
+// All four are bit-identical to stepping; Config.Exact / SetExact turn all
+// of them off, as an escape hatch and as the reference the
 // golden-equivalence tests compare against.
 //
 // # Snapshots
@@ -112,11 +115,12 @@ type Config struct {
 	// MaxDebug caps the debug/error traces (0 means a generous default).
 	MaxDebug int
 
-	// Exact disables the idle fast-forward engine, forcing the cycle-by-
-	// cycle path for every simulated cycle. Both modes produce bit-identical
-	// counters, traces and debug output (enforced by the golden-equivalence
-	// tests); Exact exists as an escape hatch and as the reference for those
-	// tests.
+	// Exact disables all four fast paths — idle and spin fast-forward,
+	// single-core block runs and multi-core strides — forcing the
+	// cycle-by-cycle path for every simulated cycle. Both modes produce
+	// bit-identical counters, traces and debug output (enforced by the
+	// golden-equivalence tests); Exact exists as an escape hatch and as the
+	// reference for those tests.
 	Exact bool
 }
 
@@ -465,13 +469,13 @@ func New(cfg Config, img *Image) (*Platform, error) {
 // Counters exposes the accumulated activity counters.
 func (p *Platform) Counters() *power.Counters { return &p.ctr }
 
-// SetExact forces (true) or re-enables skipping via (false) both
-// fast-forward engines — the quiescence leap and the spin-loop leap — for
-// subsequent Run calls. Mode switches are safe at any cycle boundary: all
-// paths maintain identical architectural state.
+// SetExact forces (true) the cycle-by-cycle path for subsequent Run calls,
+// disabling all four fast paths — idle and spin fast-forward, block runs
+// and strides — or re-enables them (false). Mode switches are safe at any
+// cycle boundary: all paths maintain identical architectural state.
 func (p *Platform) SetExact(exact bool) { p.exact = exact }
 
-// Exact reports whether the fast-forward engines are disabled.
+// Exact reports whether the fast paths are disabled (see SetExact).
 func (p *Platform) Exact() bool { return p.exact }
 
 // FFLeaps returns how many bulk idle leaps the fast-forward engine took.

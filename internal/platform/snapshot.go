@@ -201,10 +201,10 @@ func (p *Platform) adopt(s *Snapshot) error {
 	// snapshots deliberately omit it and restoring simply re-detects. This
 	// keeps Restore/Fork bit-identical to never having stopped while
 	// letting leap placement differ — exactly like Run-call chunking does.
-	// The block engine's yield spans, stride back-off and engagement
-	// statistics are process state for the same reason: a restored
-	// platform re-engages from its block tables wherever the
-	// preconditions hold, on one core or many.
+	// The block engine's yield spans, loop verdicts, stride back-off and
+	// engagement statistics are process state for the same reason: a
+	// restored platform re-engages from its block tables wherever the
+	// preconditions hold, on one core or many, and judges its loops anew.
 	p.spinReset()
 	p.blockReset()
 	// Observability stamps (barrier-arrival cycles, per-channel sample
