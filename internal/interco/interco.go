@@ -43,10 +43,9 @@ const PhasePeriod = 64
 // Crossbar arbitrates same-cycle requests onto banks with rotating priority
 // and broadcast merging.
 type Crossbar struct {
-	nbanks int
-	rr     int // rotating priority seed, advanced every cycle
+	rr int // rotating priority seed, advanced every cycle
 
-	// per-bank scratch, reset each Arbitrate call
+	// per-bank scratch, reset for the requested banks each Arbitrate call
 	winner     []int // index into reqs of the winning request, -1 if none
 	winnerCore []int
 }
@@ -54,7 +53,6 @@ type Crossbar struct {
 // NewCrossbar returns a crossbar arbitrating over nbanks banks.
 func NewCrossbar(nbanks int) *Crossbar {
 	return &Crossbar{
-		nbanks:     nbanks,
 		winner:     make([]int, nbanks),
 		winnerCore: make([]int, nbanks),
 	}
@@ -90,8 +88,9 @@ func (x *Crossbar) Arbitrate(reqs []Request) Result {
 	if len(reqs) == 0 {
 		return res
 	}
-	for b := 0; b < x.nbanks; b++ {
-		x.winner[b] = -1
+	// Only the requested banks are ever read below.
+	for i := range reqs {
+		x.winner[reqs[i].Bank] = -1
 	}
 	// Pick winners with rotating priority: lower (core-rr) mod N wins.
 	for i := range reqs {
@@ -137,9 +136,10 @@ func (x *Crossbar) Arbitrate(reqs []Request) Result {
 // some (possibly every) phase.
 //
 // Unlike Arbitrate this is a pure predicate: it never mutates reqs or the
-// crossbar, so the platform's multi-core stride engine can prove a cycle
-// safe before committing any state. Request sets are tiny (at most one per
-// core), so the quadratic same-bank scan beats any map.
+// crossbar, and its answer holds at every phase, so the lock-step lane of
+// the platform's multi-core stride engine can grant a cycle's data accesses
+// without arbitrating them. Request sets are tiny (at most one per core),
+// so the quadratic same-bank scan beats any map.
 func PlanConflictFree(reqs []Request) (accesses int, ok bool) {
 	for i := range reqs {
 		ri := &reqs[i]

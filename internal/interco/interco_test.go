@@ -222,8 +222,8 @@ func TestQuickOneAccessPerBank(t *testing.T) {
 // Property: PlanConflictFree agrees with Arbitrate at every rotating-priority
 // phase — it reports ok exactly when no phase would stall any request, and on
 // ok its access count matches Arbitrate's post-merge bank accesses (which are
-// then phase-independent). This is the contract the platform's multi-core
-// stride engine plans cycles against.
+// then phase-independent). This is the contract the lock-step lane of the
+// platform's multi-core stride engine skips arbitration on.
 func TestQuickPlanConflictFreeMatchesEveryPhase(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))

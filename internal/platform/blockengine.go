@@ -4,28 +4,31 @@
 // cycles; this engine attacks the loud ones. When cores are marching through
 // straight-line code, Step still pays the full seven-phase toll per cycle —
 // classify every core, arbitrate request lists, re-derive the MemOp, walk
-// the opcode dispatch — even though nothing about the cycle is contended or
-// observable from outside. The block engine executes those stretches from
-// the image's precomputed basic-block tables (mem.BlockSet) with all
-// counter, busy-window and crossbar accounting applied in bulk at the end of
-// the stretch, exactly as the equivalent Steps would have. It has two
-// shapes:
+// the opcode dispatch — even though nothing about the cycle is observable
+// from outside. The block engine executes those stretches from the image's
+// precomputed basic-block tables (mem.BlockSet) with counter and busy-window
+// accounting applied in bulk at the end of the stretch, exactly as the
+// equivalent Steps would have. It has two shapes:
 //
 //   - single-core runs (blockRunSingle): exactly one core is running, so a
 //     single requester is always granted by the crossbars, never merged and
 //     never stalled — the per-cycle arbitration results are known
 //     statically and the inner loop is fetch → (optional banked memory
 //     access) → execute;
-//   - multi-core strides (blockRunMulti): N ≥ 2 running cores execute
-//     interleaved on the true cycle grid, the paper's MC steady state of
-//     lock-step cores inside the same block between sync points. Each cycle
-//     is planned first — fetch set, data-access set — and committed only if
-//     the interconnect proves it conflict-free at every rotating-priority
-//     phase (interco.PlanConflictFree): merged lock-step fetches, merged
-//     equal-address reads, and writes alone on their bank. Any colliding
-//     pair, and any write a concurrent core could observe ordering effects
-//     from, ends the stride before the cycle mutates anything, so Step
-//     re-arbitrates it exactly.
+//   - multi-core strides (blockRunMulti): every running core, N ≥ 2,
+//     executes interleaved on the true cycle grid. The fast lane is the
+//     paper's MC steady state: lock-step cores at one PC share a classify
+//     and a broadcast-merged fetch, and a data-access set the interconnect
+//     proves conflict-free at every rotating-priority phase
+//     (interco.PlanConflictFree) needs no arbitration. Every other cycle —
+//     divergent PCs, bubbles, held fetches, colliding data accesses — is
+//     planned and arbitrated as Step's phases 1–4 would: both crossbars run
+//     Arbitrate at the rotating-priority phase a stepped cycle would see
+//     (the stride advances them cycle by cycle), a fetch loser stalls, and
+//     a data loser keeps its fetched instruction and re-requests next cycle
+//     without fetching. Planning never mutates simulated state, so a cycle
+//     whose granted fetch the engine cannot execute ends the stride before
+//     it commits.
 //
 // Unlike the fast-forward leaps, these cycles are fully simulated — every
 // instruction executes with architectural fidelity; only the per-cycle
@@ -42,23 +45,30 @@
 //     sync ISE, HALT, invalid encodings (mem.ClassStop), MMIO accesses
 //     (dedicated register file with platform side effects), faulting
 //     fetches and data accesses (Step re-runs the cycle and faults with
-//     exact-mode accounting);
+//     exact-mode accounting). Under contention only a granted fetch counts:
+//     a core that loses arbitration to such an instruction simply stalls;
 //   - no event tracer is attached (the gate mirrors the spin engine's).
 //
 // The one regime deliberately left to others is the short busy-wait loop:
 // executing a spin loop instruction-by-instruction — even cheaply — is
 // asymptotically worse than the spin engine's O(1) leap per proven period.
 // On a taken backward branch of spin-detectable distance the engine
-// therefore yields stickily (per-core yield spans) and lets Step feed the
-// spin detector while that core's PC stays in the loop body. Short loops
-// are also what DSP kernels are made of, and a loop whose registers march
-// (an induction variable, a walking pointer) can never recur, so the spin
-// engine can never leap it. The yield therefore carries a verdict: at each
-// visit to the loop head the core's full state is compared with the
-// previous visit, and blockVerdictVisits consecutive differences release
-// the yield and record the loop's latch as unleapable for the platform's
-// lifetime, so later entries of that loop run here from their first
-// iteration. A genuine poll loop recurs at its head and keeps its yield.
+// therefore opens a sticky per-core yield span, which closes when the
+// core's PC leaves the loop. The spin engine can only leap once every
+// running core spins, so a yield hands the platform to Step only then: a
+// single-core run ends at the yield, and a stride carries yielded pollers
+// alongside its working cores, ending after the cycle in which every
+// participant is yielded. Step then feeds the spin detector exactly when a
+// leap is possible. Short loops are also what DSP kernels are made of, and
+// a loop whose registers march (an induction variable, a walking pointer)
+// can never recur, so the spin engine can never leap it. The yield
+// therefore carries a verdict: at each stepped visit to the loop head the
+// core's full state is compared with the previous visit, and
+// blockVerdictVisits consecutive differences release the yield and record
+// the loop's latch as unleapable for the platform's lifetime, so later
+// entries of that loop run here from their first iteration. A genuine poll
+// loop recurs at its head and keeps its yield; a stride that carried it
+// restarts its count, since its head visits there went unobserved.
 // With the idle fast-forward leaping the quiescent cycles, the four engines
 // compose: idle FF / spin FF / single-core blocks / multi-core strides.
 //
@@ -80,15 +90,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/power"
 )
-
-// blockMCRetry is the probe back-off after a multi-core stride attempt that
-// could not commit a single cycle (divergent fetches colliding on a bank,
-// conflicting data accesses, MMIO straight ahead). Planning a cycle costs
-// about as much as stepping it, so in a persistently contended regime the
-// engine must not re-plan every cycle; it waits this many cycles before
-// probing again. Engagement placement is process state — backing off never
-// changes an architectural observable.
-const blockMCRetry = 64
 
 // blockVerdictVisits is how many consecutive visits to a yielded loop's
 // head, each in a core state differing from the visit before, prove the
@@ -117,23 +118,18 @@ type blockEngine struct {
 	// with forks (the image is immutable).
 	set *mem.BlockSet
 
-	// Sticky per-core spin yields: while core c's PC lies in its yielded
-	// loop the engine stays off any stretch c participates in, so the spin
-	// detector sees an uninterrupted stepped instruction stream
-	// (spinff.go).
+	// Sticky per-core spin yields: once every running core's PC lies in its
+	// yielded loop the engine stays off, so the spin detector sees an
+	// uninterrupted stepped instruction stream (spinff.go).
 	yield []spinYield
 	// unleapable marks, by IM address, the latches of loops judged
 	// unleapable (blockVerdictVisits); nil until the first verdict.
 	unleapable []bool
 
-	// mcNextTry gates multi-core stride attempts after a fruitless plan
-	// (see blockMCRetry).
-	mcNextTry uint64
-
 	// Reusable scratch for the multi-core planner (no per-cycle allocs).
 	active []int             // participating core ids this stride
-	dm     []interco.Request // one cycle's data-access plan
-	im     []interco.Request // one cycle's fetch plan (divergent PCs only)
+	dm     []interco.Request // one cycle's data requests
+	im     []interco.Request // one cycle's fetch requests
 
 	// Wall-clock diagnostics (process state, not snapshotted).
 	runs     uint64 // single-core engagements that executed ≥ 1 cycle
@@ -175,15 +171,14 @@ func (p *Platform) BlockMCStrides() uint64 { return p.block.mcRuns }
 // engine.block_stride_cycles.cN histograms for the split).
 func (p *Platform) BlockMCCycles() uint64 { return p.block.mcCycles }
 
-// blockReset clears the engine's sticky yields, loop verdicts, probe
-// back-off and diagnostics: Restore, Fork. The block tables themselves
-// derive from the immutable image and survive.
+// blockReset clears the engine's sticky yields, loop verdicts and
+// diagnostics: Restore, Fork. The block tables themselves derive from the
+// immutable image and survive.
 func (p *Platform) blockReset() {
 	for c := range p.block.yield {
 		p.block.yield[c] = spinYield{}
 	}
 	clear(p.block.unleapable)
-	p.block.mcNextTry = 0
 	p.block.runs = 0
 	p.block.cycles = 0
 	p.block.mcRuns = 0
@@ -218,8 +213,7 @@ func (p *Platform) blockRun(limit uint64) {
 	// Count the running cores; gated and halted cores contribute fixed
 	// per-cycle counter increments on either path.
 	anchor := -1
-	nrun := 0
-	spinning := false
+	nrun, nyield := 0, 0
 	var gated, halted uint64
 	for c := 0; c < p.ncore; c++ {
 		switch p.sync.State(c) {
@@ -230,7 +224,7 @@ func (p *Platform) blockRun(limit uint64) {
 			}
 			// Every running core's loop is judged, even once one spins.
 			if p.blockYielded(c) {
-				spinning = true
+				nyield++
 			}
 		case core.StateGated:
 			gated++
@@ -241,8 +235,8 @@ func (p *Platform) blockRun(limit uint64) {
 	switch {
 	case nrun == 0:
 		return // fully idle: the quiescence engine's territory
-	case spinning:
-		return // a running core spins: the spin detector's domain
+	case nyield == nrun:
+		return // every running core spins: the spin detector's domain
 	case nrun == 1:
 		p.blockRunSingle(limit, anchor, gated, halted)
 	default:
@@ -379,39 +373,44 @@ loop:
 	p.blockSpinHygiene(anchor)
 }
 
+// Participant states of one multi-core stride cycle, as Step's phases 1–4
+// would classify them.
+const (
+	mcExec    uint8 = iota // executes; no data request
+	mcMem                  // executes once its data request (be.dm) is granted
+	mcBubble               // burns a pipeline-refill bubble
+	mcIMStall              // lost fetch arbitration
+	mcBlock                // Step's turn if its fetch is granted
+)
+
 // blockRunMulti is the N ≥ 2 running-core stride path: per-core block runs
-// interleaved on the cycle grid, each cycle planned and proven conflict-free
-// before it commits, with one batched crossbar/counters/synchronizer flush
-// for the whole stride (see the file comment).
+// interleaved on the cycle grid, each cycle planned and arbitrated at Step's
+// rotating-priority phase before it commits, with one batched
+// counters/synchronizer flush for the whole stride (see the file comment).
 func (p *Platform) blockRunMulti(limit uint64, gated, halted uint64) {
 	be := &p.block
-	if p.cycle < be.mcNextTry {
-		return // recent fruitless plan: this regime is Step's for now
-	}
 
 	// Collect the participants and check the per-core entry conditions.
 	// memPlan tracks whether any participant's current straight-line run
 	// touches data memory at all (mem.RunSummary): pure-compute strides —
 	// the lock-step common case between sync points — skip data-access
-	// planning entirely until a branch lands in a run that needs it.
+	// planning entirely until a branch lands in a run that needs it. A held
+	// fetch sits on a load or store, so it sets memPlan too.
 	act := be.active[:0]
 	memPlan := false
+	nyield := 0
 	for c := 0; c < p.ncore; c++ {
 		if p.sync.State(c) != core.StateRunning {
 			continue
 		}
-		cr := p.cores[c]
-		if cr.Fetched {
-			return // held instruction from a DM stall: Step must replay it
-		}
 		if !p.sync.Runnable(c, p.cycle+1) {
 			return // inside its wake latency: these are idle cycles
 		}
-		if cr.Bubble == 0 && be.set.RunLen(cr.PC) == 0 {
-			return // parked on a stop instruction: Step executes it
-		}
-		if be.set.Summary(cr.PC).TouchesMem() {
+		if be.set.Summary(p.cores[c].PC).TouchesMem() {
 			memPlan = true
+		}
+		if be.yield[c].on {
+			nyield++
 		}
 		act = append(act, c)
 	}
@@ -422,14 +421,14 @@ func (p *Platform) blockRunMulti(limit uint64, gated, halted uint64) {
 		return
 	}
 
-	// Per-cycle scratch, indexed by participant position in act.
+	// Per-cycle scratch, indexed by participant position in act; imWho and
+	// dmWho map a request back to its participant.
 	var (
-		pins  [isa.MaxCores]isa.Instr
-		fetch [isa.MaxCores]bool
-		mcls  [isa.MaxCores]mem.InstrClass
-		mbank [isa.MaxCores]int
-		moff  [isa.MaxCores]int
-		crs   [isa.MaxCores]*cpu.Core
+		pins         [isa.MaxCores]isa.Instr
+		mcls         [isa.MaxCores]mem.InstrClass
+		st           [isa.MaxCores]uint8
+		imWho, dmWho [isa.MaxCores]int
+		crs          [isa.MaxCores]*cpu.Core
 	)
 	nact := len(act)
 	for i, c := range act {
@@ -437,22 +436,20 @@ func (p *Platform) blockRunMulti(limit uint64, gated, halted uint64) {
 	}
 	start := p.cycle
 	cyc := start
-	var instrs, bubbles, taken, imReqs, imAccesses, dmReqs, dmReads, dmWrites uint64
-	yielded := false
+	var instrs, stalls, taken, imReqs, imAccesses, imConflict uint64
+	var dmReqs, dmReads, dmWrites, dmConflict uint64
 
 stride:
-	for cyc < end && !yielded {
+	for cyc < end && nyield < nact {
 		// ---- Lock-step fast lane: every participant aligned at the same PC
-		// with no pipeline bubbles — the paper's MC steady state. One shared
-		// classify and one broadcast-merged fetch serve all cores; only the
-		// data addresses (register-dependent) are planned per core.
+		// with no pipeline bubble and no held fetch — the paper's MC steady
+		// state. One shared classify and one broadcast-merged fetch serve all
+		// cores; only the data addresses (register-dependent) are planned per
+		// core, and a conflict-free set is granted at every phase.
 		pc0 := crs[0].PC
-		aligned := crs[0].Bubble == 0
-		for k := 1; k < nact; k++ {
-			if crs[k].PC != pc0 || crs[k].Bubble != 0 {
-				aligned = false
-				break
-			}
+		aligned := crs[0].Bubble == 0 && !crs[0].Fetched
+		for k := 1; k < nact && aligned; k++ {
+			aligned = crs[k].PC == pc0 && crs[k].Bubble == 0 && !crs[k].Fetched
 		}
 		if aligned {
 			cls := be.set.Class(pc0)
@@ -463,249 +460,281 @@ stride:
 			if !ok {
 				break stride // fetch fault: Step replays it exactly
 			}
-			dmAcc, nw := 0, 0
+			dm, dmAcc, nw := be.dm[:0], 0, 0
 			if cls == mem.ClassLoad || cls == mem.ClassStore {
-				dm := be.dm[:0]
 				for i, c := range act {
 					addr := crs[i].Regs[ins.Rs1] + uint16(ins.Imm)
 					if isa.IsMMIO(addr) {
 						break stride // MMIO interacts with platform state
 					}
 					b, o := p.mapper.Map(c, addr)
-					mbank[i], moff[i] = b, o
-					dm = append(dm, interco.Request{
-						Core: c, Bank: b, Offset: o, Write: cls == mem.ClassStore,
-					})
-				}
-				var ok bool
-				dmAcc, ok = interco.PlanConflictFree(dm)
-				if !ok {
-					break stride // colliding data accesses: Step arbitrates
-				}
-				for i := range dm {
-					if _, ok := p.dmem.Read(dm[i].Bank, dm[i].Offset); !ok {
+					if _, ok := p.dmem.Read(b, o); !ok {
 						break stride // powered-off bank: Step will fault
 					}
+					dm = planReq(dm, c, b, o, cls == mem.ClassStore)
 				}
+				dmAcc, ok = interco.PlanConflictFree(dm)
 				if cls == mem.ClassStore {
 					nw = len(dm)
 				}
-				dmReqs += uint64(len(dm))
 			}
-			for i := range crs[:nact] {
-				cr := crs[i]
-				var loadVal uint16
-				switch cls {
-				case mem.ClassLoad:
-					loadVal, _ = p.dmem.Read(mbank[i], moff[i])
-				case mem.ClassStore:
-					p.dmem.Write(mbank[i], moff[i], cr.Regs[ins.Rs2])
-				}
-				cr.IR = ins
-				if cr.ExecuteBlock(ins, loadVal) {
-					taken++
-					// The cycle still commits for every participant.
-					if p.blockYield(act[i], pc0) {
-						yielded = true
+			if ok {
+				for i := range crs[:nact] {
+					cr := crs[i]
+					var loadVal uint16
+					switch cls {
+					case mem.ClassLoad:
+						loadVal, _ = p.dmem.Read(dm[i].Bank, dm[i].Offset)
+					case mem.ClassStore:
+						p.dmem.Write(dm[i].Bank, dm[i].Offset, cr.Regs[ins.Rs2])
+					}
+					cr.IR = ins
+					tk := cr.ExecuteBlock(ins, loadVal)
+					if tk {
+						taken++
+					}
+					if cls == mem.ClassControl {
+						nyield += p.blockRespan(act[i], pc0, tk)
+						// Refresh the memory-planning invariant for the
+						// generic lane (a diverging branch may drop out of
+						// lock-step next cycle).
+						if !memPlan && be.set.Summary(cr.PC).TouchesMem() {
+							memPlan = true
+						}
 					}
 				}
-				// Refresh the memory-planning invariant for the generic lane
-				// (a diverging branch may drop out of lock-step next cycle).
-				if cls == mem.ClassControl && !memPlan && be.set.Summary(cr.PC).TouchesMem() {
-					memPlan = true
-				}
+				instrs += uint64(nact)
+				imReqs += uint64(nact)
+				imAccesses++
+				dmReqs += uint64(len(dm))
+				dmReads += uint64(dmAcc - nw)
+				dmWrites += uint64(nw)
+				cyc++
+				p.imx.Advance()
+				p.dmx.Advance()
+				continue
 			}
-			instrs += uint64(nact)
-			imReqs += uint64(nact)
-			imAccesses++
-			dmReads += uint64(dmAcc - nw)
-			dmWrites += uint64(nw)
-			cyc++
-			continue
+			// Colliding data accesses: the generic lane arbitrates them.
 		}
 
-		// ---- Plan: prove the cycle fault-free and conflict-free before
-		// mutating anything. Register state is pre-cycle for every core, so
-		// the planned addresses are exactly Step's phase-3 addresses.
-		nfetch := 0
+		// ---- Generic lane: plan the cycle as Step's phases 1–4 see it and
+		// arbitrate both crossbars at the current rotating-priority phase.
+		// Nothing simulated mutates before the commit below, and register
+		// state is pre-cycle for every core, so the planned addresses are
+		// exactly Step's phase-3 addresses. A fetch the engine cannot
+		// execute — a stop instruction, a fault, MMIO, a powered-off data
+		// bank — ends the stride only if arbitration grants it.
+		im, dm := be.im[:0], be.dm[:0]
 		lockstep := true
 		firstPC := -1
-		dm := be.dm[:0]
+		nblock := 0
 		for i, c := range act {
 			cr := crs[i]
 			if cr.Bubble > 0 {
-				fetch[i] = false
+				st[i] = mcBubble
 				continue
 			}
 			cls := be.set.Class(cr.PC)
-			if cls == mem.ClassStop {
-				break stride // sync ISE / HALT / invalid ahead: Step's turn
+			ins := cr.IR // held from a DM stall: re-requested without a fetch
+			st[i] = mcBlock
+			if !cr.Fetched {
+				if firstPC < 0 {
+					firstPC = cr.PC
+				} else if cr.PC != firstPC {
+					lockstep = false
+				}
+				imWho[len(im)] = i
+				im = planReq(im, c, isa.IMBankOf(cr.PC), cr.PC, false)
+				var ok bool
+				if ins, ok = p.imem.Fetch(cr.PC); !ok || cls == mem.ClassStop {
+					nblock++
+					continue
+				}
 			}
-			mcls[i] = cls
-			ins, ok := p.imem.Fetch(cr.PC)
-			if !ok {
-				break stride // fetch fault: Step replays it exactly
-			}
-			pins[i] = ins
-			fetch[i] = true
-			nfetch++
-			if firstPC < 0 {
-				firstPC = cr.PC
-			} else if cr.PC != firstPC {
-				lockstep = false
-			}
-			if !memPlan {
-				// Invariant: no run in flight contains a load or store
-				// (entry check + the refresh after every control transfer
-				// below), so no address needs computing.
+			pins[i], mcls[i] = ins, cls
+			// Invariant: while !memPlan no run in flight contains a load or
+			// store (entry check + the refresh after every control transfer
+			// below), so no address needs computing.
+			if !memPlan || cls != mem.ClassLoad && cls != mem.ClassStore {
+				st[i] = mcExec
 				continue
 			}
-			switch cls {
-			case mem.ClassLoad, mem.ClassStore:
-				addr := cr.Regs[ins.Rs1] + uint16(ins.Imm)
-				if isa.IsMMIO(addr) {
-					break stride // MMIO interacts with platform state
-				}
-				b, o := p.mapper.Map(c, addr)
-				mbank[i], moff[i] = b, o
-				dm = append(dm, interco.Request{
-					Core: c, Bank: b, Offset: o, Write: cls == mem.ClassStore,
-				})
+			addr := cr.Regs[ins.Rs1] + uint16(ins.Imm)
+			if isa.IsMMIO(addr) {
+				nblock++
+				continue
 			}
+			b, o := p.mapper.Map(c, addr)
+			if _, ok := p.dmem.Read(b, o); !ok {
+				nblock++
+				continue
+			}
+			dmWho[len(dm)] = i
+			dm = planReq(dm, c, b, o, cls == mem.ClassStore)
+			st[i] = mcMem
 		}
 
-		// Fetch arbitration. Lock-step cores share one PC and ride a single
-		// broadcast-merged bank read; divergent PCs must be proven
-		// conflict-free on the instruction banks.
-		imAcc := 0
-		if nfetch > 0 {
+		// Fetch arbitration. Lock-step fetchers share one PC and ride a
+		// single broadcast-merged bank read at any phase; divergent PCs are
+		// arbitrated, and a loser stalls without issuing its data request.
+		imAcc, imStall := 0, 0
+		if len(im) > 0 {
 			imAcc = 1
 			if !lockstep {
-				im := be.im[:0]
-				for i, c := range act {
-					if !fetch[i] {
-						continue
-					}
-					pc := p.cores[c].PC
-					im = append(im, interco.Request{
-						Core: c, Bank: isa.IMBankOf(pc), Offset: pc,
-					})
+				res := p.imx.Arbitrate(im)
+				imAcc, imStall = res.Accesses, res.Stalled
+			}
+		}
+		if imStall > 0 {
+			for j := range im {
+				if !im[j].Granted {
+					st[imWho[j]] = mcIMStall
 				}
-				var ok bool
-				imAcc, ok = interco.PlanConflictFree(im)
-				if !ok {
-					break stride // colliding fetches: Step arbitrates
+			}
+			n := 0
+			for k := range dm {
+				if st[dmWho[k]] == mcMem {
+					dm[n] = dm[k]
+					n++
+				}
+			}
+			dm = dm[:n]
+		}
+		if nblock > 0 {
+			for i := range act {
+				if st[i] == mcBlock {
+					break stride // Step executes this cycle exactly
 				}
 			}
 		}
 
-		// Data arbitration. Conflict-free means every bank sees either one
-		// write alone or reads of a single address, so commit order within
-		// the cycle cannot matter: no other core can observe a same-cycle
-		// write (same word ⇒ same bank ⇒ conflict ⇒ bail).
-		nw := 0
-		dmAcc := 0
+		// Data arbitration. Every bank sees one winner plus the reads that
+		// merge with it, so commit order within the cycle cannot matter: no
+		// core can observe another's same-cycle write.
+		dmStall := 0
 		if len(dm) > 0 {
-			var ok bool
-			dmAcc, ok = interco.PlanConflictFree(dm)
-			if !ok {
-				break stride // colliding data accesses: Step arbitrates
-			}
-			for i := range dm {
-				if dm[i].Write {
-					nw++
-				}
-				if _, ok := p.dmem.Read(dm[i].Bank, dm[i].Offset); !ok {
-					break stride // powered-off bank: Step will fault
-				}
-			}
+			dmStall = p.dmx.Arbitrate(dm).Stalled
 		}
 
-		// ---- Commit: the cycle is proven; execute it in core order.
+		// ---- Commit: the cycle is arbitrated; execute it in core order.
+		k := 0
 		for i, c := range act {
 			cr := crs[i]
-			if !fetch[i] {
-				cr.Bubble--
-				bubbles++
-				continue
-			}
-			ins := pins[i]
 			var loadVal uint16
-			switch mcls[i] {
-			case mem.ClassLoad:
-				loadVal, _ = p.dmem.Read(mbank[i], moff[i])
-			case mem.ClassStore:
-				p.dmem.Write(mbank[i], moff[i], cr.Regs[ins.Rs2])
-			}
-			prevPC := cr.PC
-			cr.IR = ins
-			if cr.ExecuteBlock(ins, loadVal) {
-				taken++
-				// The cycle still commits for every participant.
-				if p.blockYield(c, prevPC) {
-					yielded = true
+			switch st[i] {
+			case mcBubble:
+				cr.Bubble--
+				stalls++
+				continue
+			case mcIMStall:
+				continue
+			case mcMem:
+				r := &dm[k]
+				k++
+				if !r.Granted {
+					// Step's phase-4 loser keeps its fetched instruction
+					// and re-requests next cycle without fetching.
+					cr.IR, cr.Fetched = pins[i], true
+					continue
+				}
+				if r.Write {
+					p.dmem.Write(r.Bank, r.Offset, cr.Regs[pins[i].Rs2])
+					dmWrites++
+				} else {
+					loadVal, _ = p.dmem.Read(r.Bank, r.Offset)
+					if !r.Merged {
+						dmReads++
+					}
 				}
 			}
+			prevPC := cr.PC
+			cr.IR = pins[i]
+			tk := cr.ExecuteBlock(pins[i], loadVal)
+			if tk {
+				taken++
+			}
 			// Straight-line runs only ever end at a control transfer, so
-			// this is the one place a core can enter a new run mid-stride:
-			// refresh the memory-planning flag (taken or fall-through).
-			if mcls[i] == mem.ClassControl && !memPlan && be.set.Summary(cr.PC).TouchesMem() {
-				memPlan = true
+			// this is the one place a core can enter a new run or leave a
+			// loop mid-stride: refresh the yield span and the
+			// memory-planning flag (taken or fall-through).
+			if mcls[i] == mem.ClassControl {
+				nyield += p.blockRespan(c, prevPC, tk)
+				if !memPlan && be.set.Summary(cr.PC).TouchesMem() {
+					memPlan = true
+				}
 			}
 			instrs++
 		}
-		imReqs += uint64(nfetch)
+		stalls += uint64(imStall + dmStall)
+		imReqs += uint64(len(im))
 		imAccesses += uint64(imAcc)
+		imConflict += uint64(imStall)
 		dmReqs += uint64(len(dm))
-		dmReads += uint64(dmAcc - nw)
-		dmWrites += uint64(nw)
+		dmConflict += uint64(dmStall)
 		cyc++
+		p.imx.Advance()
+		p.dmx.Advance()
 	}
 	if cyc == start {
-		// The entry conditions held but the very first cycle could not be
-		// proven safe. Planning costs about as much as stepping; back off
-		// before probing this contended regime again.
-		be.mcNextTry = p.cycle + blockMCRetry
-		return
+		return // a stop instruction, MMIO or a fault straight ahead: Step's cycle
 	}
 
 	// Bulk accounting: exactly what cyc-start Steps over this stretch would
-	// have accumulated. Every participant was clocked (exec or bubble) each
-	// cycle; fetch and data access counts come from the per-cycle plans.
+	// have accumulated. Every participant was clocked (exec, bubble or
+	// stall) each cycle; fetch and data access counts come from the
+	// per-cycle arbitration, and the crossbars advanced cycle by cycle.
 	n := cyc - start
 	p.ctr.AddStride(power.StrideDelta{
 		Cycles:        n,
 		Instrs:        instrs,
 		ActiveCycles:  instrs,
-		StallCycles:   bubbles,
+		StallCycles:   stalls,
 		BranchBubbles: taken,
-		UngatedCycles: n * uint64(len(act)),
+		UngatedCycles: n * uint64(nact),
 		GatedCycles:   n * gated,
 		HaltedCycles:  n * halted,
 		IMReqs:        imReqs,
 		IMAccesses:    imAccesses,
+		IMConflict:    imConflict,
 		DMReqs:        dmReqs,
 		DMReads:       dmReads,
 		DMWrites:      dmWrites,
+		DMConflict:    dmConflict,
 	})
 	for _, c := range act {
 		p.perCoreBusy[c] += n
 		p.windowBusy[c] += uint32(n)
+		// A carried yielded core's head visits went unobserved: its
+		// verdict count restarts, so a poll loop is never judged from a
+		// partial observation.
+		if y := &be.yield[c]; y.on {
+			*y = spinYield{on: true, lo: y.lo, hi: y.hi}
+		}
+		p.blockSpinHygiene(c)
 	}
 	p.cycle = cyc
 	p.sync.FastForward(cyc)
-	p.imx.AdvanceN(n)
-	p.dmx.AdvanceN(n)
 	p.lastCycleIdle = false
 	be.mcRuns++
 	be.mcCycles += n
 	// One span per stride, tagged with the participating core count.
-	p.obs.Span(obs.KindBlockStride, obs.TrackEngine, 0, start, n, int64(instrs), int64(len(act)))
+	p.obs.Span(obs.KindBlockStride, obs.TrackEngine, 0, start, n, int64(instrs), int64(nact))
 	p.obs.Observe("engine.block_stride_cycles", n)
-	p.obs.Observe(blockStrideCoresName[len(act)-1], n)
-	for _, c := range act {
-		p.blockSpinHygiene(c)
-	}
+	p.obs.Observe(blockStrideCoresName[nact-1], n)
+}
+
+// planReq appends one request to a stride planner's scratch slice, whose
+// capacity covers every core. It writes the fields in place: appending a
+// composite literal builds it in a stack temporary whose wide reload stalls
+// on store forwarding, a measurable share of a contended stride's cost. The
+// outcome fields keep a stale value until Arbitrate resets them, and no lane
+// reads them without arbitrating.
+func planReq(reqs []interco.Request, core, bank, offset int, write bool) []interco.Request {
+	n := len(reqs)
+	reqs = reqs[:n+1]
+	r := &reqs[n]
+	r.Core, r.Bank, r.Offset, r.Write = core, bank, offset, write
+	return reqs
 }
 
 // blockEnd bounds a stretch: it must end before anything external can
@@ -738,6 +767,28 @@ func (p *Platform) blockYield(c, latch int) bool {
 	}
 	p.block.yield[c] = spinYield{on: true, lo: head, hi: latch}
 	return true
+}
+
+// blockRespan keeps core c's yield span current after it executed the
+// control transfer at pc inside a multi-core stride: a taken short backward
+// branch opens (or reopens) a span as blockYield decides, and a PC that
+// left the span closes it. It returns the change in the number of yielded
+// cores.
+func (p *Platform) blockRespan(c, pc int, taken bool) int {
+	y := &p.block.yield[c]
+	was := y.on
+	if !(taken && p.blockYield(c, pc)) && y.on {
+		if at := p.cores[c].PC; at < y.lo || at > y.hi {
+			y.on = false
+		}
+	}
+	switch {
+	case y.on == was:
+		return 0
+	case y.on:
+		return 1
+	}
+	return -1
 }
 
 // blockYielded reports whether running core c is inside its yielded spin

@@ -1,9 +1,11 @@
 package platform
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/interco"
 	"repro/internal/isa"
 	"repro/internal/trace"
 )
@@ -238,67 +240,87 @@ func blockKernelMCImage() *Image {
 
 // TestBlockEngineSnapshotMidStrideMC is the multi-core mirror of
 // TestBlockEngineSnapshotMidBlock: the snapshot boundary falls inside a
-// four-core lock-step stride, and restore/fork/continue must all stay
-// bit-identical to an exact straight-through run. Stride back-off state and
-// engagement statistics are process state, so the restored platform reports
-// fresh diagnostics and re-engages on its own.
+// multi-core stride, and restore/fork/continue must all stay bit-identical
+// to an exact straight-through run. Two inputs: the four-core lock-step
+// kernel, and the contended kernel with the boundary at a cycle where a core
+// holds a DM-stalled fetch, which the restored platform's strides must
+// replay. Engagement statistics are process state, so the restored platform
+// reports fresh diagnostics and re-engages on its own.
 func TestBlockEngineSnapshotMidStrideMC(t *testing.T) {
-	const total, first = 50_000, 12_345
-	cfg := mcCfg()
+	const total = 50_000
+	cases := []struct {
+		name  string
+		img   func(t *testing.T) *Image
+		first func(t *testing.T) uint64
+		held  bool // a core holds a DM-stalled fetch at the boundary
+	}{
+		{"lockstep", func(*testing.T) *Image { return blockKernelMCImage() }, func(*testing.T) uint64 { return 12_345 }, false},
+		{"held-fetch", contendedImage, func(t *testing.T) uint64 { return heldFetchCycle(t, contendedImage(t), 12_345) }, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := mcCfg()
+			first := tc.first(t)
 
-	cfg.Exact = true
-	exact, err := New(cfg, blockKernelMCImage())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := exact.Run(total); err != nil {
-		t.Fatal(err)
-	}
-
-	cfg.Exact = false
-	fast, err := New(cfg, blockKernelMCImage())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fast.Run(first); err != nil {
-		t.Fatal(err)
-	}
-	if fast.BlockMCStrides() == 0 {
-		t.Fatal("multi-core stride engine never engaged on the lock-step kernel")
-	}
-	snap := fast.Snapshot()
-
-	restored, err := New(cfg, blockKernelMCImage())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if restored.BlockMCStrides() != 0 || restored.BlockMCCycles() != 0 {
-		t.Errorf("restored platform reports %d strides / %d cycles, want fresh diagnostics",
-			restored.BlockMCStrides(), restored.BlockMCCycles())
-	}
-
-	fork, err := fast.Fork(fast.Config())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for name, p := range map[string]*Platform{"original": fast, "restored": restored, "forked": fork} {
-		if err := p.Run(total - first); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		assertIdenticalNoTrace(t, exact, p)
-		if p.BlockMCStrides() == 0 {
-			t.Errorf("%s: multi-core strides never re-engaged after the boundary", name)
-		}
-		for c := 0; c < 4; c++ {
-			v, _ := exact.PeekData(c, 1216)
-			if w, _ := p.PeekData(c, 1216); w != v {
-				t.Errorf("%s: core %d kernel output diverges", name, c)
+			cfg.Exact = true
+			exact, err := New(cfg, tc.img(t))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			if err := exact.Run(total); err != nil {
+				t.Fatal(err)
+			}
+
+			cfg.Exact = false
+			fast, err := New(cfg, tc.img(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fast.Run(first); err != nil {
+				t.Fatal(err)
+			}
+			if fast.BlockMCStrides() == 0 {
+				t.Fatal("multi-core stride engine never engaged before the boundary")
+			}
+			held := false
+			for _, cr := range fast.cores {
+				held = held || cr.Fetched
+			}
+			if held != tc.held {
+				t.Fatalf("a core holds a fetch at the boundary: %v, want %v", held, tc.held)
+			}
+			snap := fast.Snapshot()
+
+			restored, err := New(cfg, tc.img(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := restored.Restore(snap); err != nil {
+				t.Fatal(err)
+			}
+			if restored.BlockMCStrides() != 0 || restored.BlockMCCycles() != 0 {
+				t.Errorf("restored platform reports %d strides / %d cycles, want fresh diagnostics",
+					restored.BlockMCStrides(), restored.BlockMCCycles())
+			}
+
+			fork, err := fast.Fork(fast.Config())
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			for name, p := range map[string]*Platform{"original": fast, "restored": restored, "forked": fork} {
+				if err := p.Run(total - first); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				assertIdenticalNoTrace(t, exact, p)
+				if p.BlockMCStrides() == 0 {
+					t.Errorf("%s: multi-core strides never re-engaged after the boundary", name)
+				}
+				if !reflect.DeepEqual(exact.dmem.Snapshot().Words, p.dmem.Snapshot().Words) {
+					t.Errorf("%s: data memory diverges", name)
+				}
+			}
+		})
 	}
 }
 
@@ -597,5 +619,233 @@ gap:
 	}
 	if skipped := fast.SpinSkippedCycles(); skipped*10 < budget*9 {
 		t.Errorf("spin engine skipped only %d of %d cycles; the settled poll loop must be leapt", skipped, budget)
+	}
+}
+
+// contendedSrc is a compute kernel whose data accesses collide: every core
+// reads and rewrites its own words 16 apart, which the ATU's word
+// interleaving puts on one DM bank. Its loop body is longer than any spin
+// signature, so no yield ever ends a stride.
+const contendedSrc = `
+.code contended
+    li   r13, 0x7F00
+    lw   r5, 0(r13)     ; core id
+    slli r5, r5, 4
+    addi r4, r5, 256    ; this core's words, all on DM bank 0
+    li   r6, 1
+loop:
+    lw   r1, 0(r4)
+    add  r6, r6, r1
+    xor  r2, r6, r5
+    lw   r3, 1(r4)
+    add  r6, r6, r3
+    srli r2, r6, 3
+    xor  r6, r6, r2
+    lw   r1, 2(r4)
+    mul  r3, r1, r6
+    add  r6, r6, r3
+    addi r1, r1, 7
+    sw   r1, 2(r4)
+    xor  r2, r6, r1
+    add  r6, r6, r2
+    srai r3, r6, 2
+    sub  r6, r6, r3
+    lw   r1, 3(r4)
+    or   r2, r1, r6
+    and  r3, r2, r5
+    add  r6, r6, r3
+    xor  r6, r6, r1
+    addi r1, r6, 3
+    add  r2, r1, r1
+    xor  r6, r6, r2
+    srli r3, r6, 1
+    add  r6, r6, r3
+    j    loop
+`
+
+// contendedImage places contendedSrc for three MC cores in one IM bank:
+// cores 0 and 1 share the copy at address 0, so they start in lock-step and
+// their loads collide, and core 2 runs a private copy packed behind it, so
+// its fetches collide with theirs.
+func contendedImage(t *testing.T) *Image {
+	t.Helper()
+	in := make([]uint16, 64)
+	for i := range in {
+		in[i] = uint16(i*i*29 + 5)
+	}
+	src := []string{contendedSrc, contendedSrc, contendedSrc}
+	return buildImage(t, 1024, 0, src, []int{0, 0, 64}, []DataSeg{{Base: 256, Words: in}})
+}
+
+// heldFetchCycle returns the first cycle at or after from at which a core of
+// an exact run of img holds a DM-stalled fetch.
+func heldFetchCycle(t *testing.T, img *Image, from uint64) uint64 {
+	t.Helper()
+	cfg := mcCfg()
+	cfg.Exact = true
+	p, err := New(cfg, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Run(from); err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < 10_000; n++ {
+		for _, cr := range p.cores {
+			if cr.Fetched {
+				return p.Cycle()
+			}
+		}
+		if err := p.Run(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Fatal("no core ever held a DM-stalled fetch")
+	return 0
+}
+
+// TestBlockEngineContendedStride: cores whose fetches and loads collide on
+// one bank must still run on strides, each cycle arbitrated as Step would
+// arbitrate it, with the conflict counters bit-identical to -exact.
+func TestBlockEngineContendedStride(t *testing.T) {
+	exact, fast := runModesUntraced(t, mcCfg(), contendedImage, 60_000)
+	assertIdenticalNoTrace(t, exact, fast)
+	if !reflect.DeepEqual(exact.dmem.Snapshot().Words, fast.dmem.Snapshot().Words) {
+		t.Error("data memory diverges")
+	}
+	ctr := fast.Counters()
+	if ctr.IMConflict == 0 || ctr.DMConflict == 0 {
+		t.Errorf("IM conflicts %d, DM conflicts %d: the kernel must contend on both crossbars",
+			ctr.IMConflict, ctr.DMConflict)
+	}
+	if got, all := fast.BlockMCCycles(), nonIdleCycles(fast); got*10 < all*9 {
+		t.Errorf("multi-core strides carried %d of %d non-idle cycles, want at least 90%%", got, all)
+	}
+}
+
+// TestBlockEngineContendedEveryPhase starts contended strides at each of the
+// 64 rotating-priority phases: an exact warm-up of warm+k cycles, past every
+// core's prologue, sets the phase, the next 64 cycles must run on one stride
+// that arbitrates conflicts, and every run must end bit-identical to the
+// exact one.
+func TestBlockEngineContendedEveryPhase(t *testing.T) {
+	const warm, total = 1024, 4000
+	exact, _ := runModesUntraced(t, mcCfg(), contendedImage, total)
+	for k := uint64(0); k < interco.PhasePeriod; k++ {
+		p, err := New(mcCfg(), contendedImage(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.SetExact(true)
+		if err := p.Run(warm + k); err != nil {
+			t.Fatal(err)
+		}
+		p.SetExact(false)
+		steps, conflicts := p.StepCycles(), p.Counters().IMConflict+p.Counters().DMConflict
+		if err := p.Run(interco.PhasePeriod); err != nil {
+			t.Fatal(err)
+		}
+		if p.StepCycles() != steps || p.BlockMCCycles() != interco.PhasePeriod {
+			t.Errorf("phase %d: %d of %d cycles stepped, want one stride", k, p.StepCycles()-steps, interco.PhasePeriod)
+		}
+		if p.Counters().IMConflict+p.Counters().DMConflict == conflicts {
+			t.Errorf("phase %d: the stride arbitrated no conflict", k)
+		}
+		if err := p.Run(total - warm - k - interco.PhasePeriod); err != nil {
+			t.Fatal(err)
+		}
+		assertIdenticalNoTrace(t, exact, p)
+	}
+}
+
+// TestBlockEngineStrideCarriesPoller: core 1 polls a shared progress word
+// while core 0 computes for several thousand cycles, publishing each
+// iteration and reading an MMIO register that ends its stride, then halts.
+// Strides must carry the worker and the yielded poller together — also when
+// a stride starts with the poller already yielded — release the poller on
+// the exact cycle, and leave its second, endless wait in the same loop to
+// the spin engine. The loop must not be judged unleapable on the way: the
+// polled word changed between every two visits the strides let Step see.
+func TestBlockEngineStrideCarriesPoller(t *testing.T) {
+	worker := `
+.code worker
+    li   r7, 200        ; progress word
+    li   r13, 0x7F00
+    li   r6, 150        ; iterations
+    li   r5, 0
+    li   r1, 1
+work:
+    add  r2, r1, r5
+    xor  r3, r2, r1
+    addi r1, r1, 3
+    srli r2, r3, 1
+    add  r1, r1, r2
+    xor  r3, r3, r5
+    add  r2, r2, r3
+    srai r3, r2, 2
+    or   r1, r1, r3
+    sub  r2, r1, r5
+    xor  r1, r1, r2
+    addi r3, r3, 5
+    add  r1, r1, r3
+    srli r2, r1, 2
+    xor  r3, r2, r5
+    add  r1, r1, r3
+    and  r2, r1, r3
+    xor  r1, r1, r2
+    addi r2, r2, 9
+    add  r3, r3, r2
+    xor  r1, r1, r3
+    srli r2, r3, 3
+    add  r1, r1, r2
+    xor  r3, r1, r5
+    addi r5, r5, 1
+    sw   r5, 0(r7)      ; publish the progress
+    lw   r9, 0(r13)     ; RegCoreID: MMIO ends the stride
+    blt  r5, r6, work
+    halt
+`
+	poller := `
+.code poller
+    li   r7, 200
+    li   r13, 0x7F00
+    li   r6, 150
+poll:
+    lw   r1, 0(r7)
+    bne  r1, r6, poll   ; wait for the last iteration
+    lw   r8, 1(r13)     ; RegCycleLo: the cycle the poll loop exited
+    addi r6, r6, 1      ; then wait for one that never comes
+    j    poll
+`
+	const budget = 60_000
+	mk := func(t *testing.T) *Image {
+		return buildImage(t, 0x2000, 0, []string{worker, poller}, []int{0, isa.IMBankWords},
+			[]DataSeg{{Base: 200, Words: []uint16{0}}})
+	}
+	exact, _ := runModesUntraced(t, mcCfg(), mk, budget)
+	release := uint64(exact.CoreRegs(1)[8])
+	if release < 3000 {
+		t.Fatalf("poller released at cycle %d, want several thousand cycles of work first", release)
+	}
+
+	fast, err := New(mcCfg(), mk(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fast.Run(release); err != nil {
+		t.Fatal(err)
+	}
+	if got := fast.BlockMCCycles(); got*10 < release*9 {
+		t.Errorf("strides carried %d of the %d cycles before the release, want at least 90%%", got, release)
+	}
+	if err := fast.Run(budget - release); err != nil {
+		t.Fatal(err)
+	}
+	assertIdenticalNoTrace(t, exact, fast)
+	if got := uint64(fast.CoreRegs(1)[8]); got != release {
+		t.Errorf("poller left its loop at cycle %d, exact run at %d", got, release)
+	}
+	if rest, got := budget-release, fast.SpinSkippedCycles(); got*10 < rest*9 {
+		t.Errorf("spin engine skipped %d of the %d cycles after the release, want at least 90%%", got, rest)
 	}
 }

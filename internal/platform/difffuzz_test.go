@@ -1,20 +1,22 @@
 // Randomized cross-engine differential fuzzer.
 //
 // Every fast-path engine in this package (idle fast-forward, spin
-// fast-forward, single-core block runs, multi-core lock-step strides) claims
+// fast-forward, single-core block runs, multi-core strides) claims
 // bit-identity with the cycle-accurate Step loop. The hand-written
 // differential suites pin the cases we thought of; this fuzzer generates the
 // ones we didn't. Each case assembles a small random program from the real
 // ISA encoder — arithmetic, loads/stores through shared and private windows,
 // MMIO probes, forward and backward branches, counted loops shorter than
 // core.MaxSpinPeriod (the spin yield hands them to the block engine
-// mid-loop), jumps, sync ISE forms, SLEEP and HALT — lays it out across 1–4
-// cores in one of three placements (lock-step shared code, same-IM-bank
-// private copies, distinct-bank private copies), runs it through an exact
-// platform and a fast one (optionally chunked across two Run calls), and
-// asserts that every observable — counters, registers, the entire data
-// memory and its write generation, the synchronizer state, debug and
-// violation streams, fault messages — is bit-identical.
+// mid-loop), poll/produce pairs (core 0 sets a shared flag after random work
+// while the other cores poll it, so strides carry yielded pollers and
+// release them mid-stride), jumps, sync ISE forms, SLEEP and HALT — lays it
+// out across 1–4 cores in one of three placements (lock-step shared code,
+// same-IM-bank private copies, distinct-bank private copies), runs it
+// through an exact platform and a fast one (optionally chunked across two
+// Run calls), and asserts that every observable — counters, registers, the
+// entire data memory and its write generation, the synchronizer state,
+// debug and violation streams, fault messages — is bit-identical.
 //
 // The generator is seeded deterministically per (core count, case index), so
 // any failure reproduces in isolation:
@@ -60,7 +62,8 @@ func fuzzProg(rng *rand.Rand, nsync int) []isa.Word {
 	// (private base) stay stable so most memory traffic lands in powered,
 	// initialized windows. r14 and r15 belong to the counted-loop template:
 	// written nowhere else, they bound every entry of such a loop, even one
-	// a random branch lands in.
+	// a random branch lands in. r13 is scratch for MMIO probes and the
+	// poll/produce template, which set it before every use.
 	work := []uint8{1, 2, 3, 5, 6, 7, 8, 10, 11, 12}
 	wr := func() uint8 { return work[rng.Intn(len(work))] }
 
@@ -75,8 +78,26 @@ func fuzzProg(rng *rand.Rand, nsync int) []isa.Word {
 	n := 10 + rng.Intn(25)
 	for i := 0; i < n; i++ {
 		switch k := rng.Intn(100); {
-		case k < 35: // R-type ALU
+		case k < 33: // R-type ALU
 			w = append(w, enc(aluR[rng.Intn(len(aluR))], wr(), wr(), wr(), 0))
+		case k < 35: // poll/produce: core 0 sets the flag after some work, the others poll it
+			r := wr()
+			nwork := 1 + rng.Intn(6)
+			w = append(w,
+				enc(isa.OpLUI, 13, 0, 0, 508),            // r13 = 0x7F00
+				enc(isa.OpLW, 13, 13, 0, 0),              // r13 = core id (RegCoreID)
+				enc(isa.OpBEQ, 0, 13, 0, 2),              // core 0 skips the poll loop
+				enc(isa.OpLW, r, 4, 0, fuzzFlag),         // poll: a two-instruction loop
+				enc(isa.OpBEQ, 0, r, 0, -2),              // ...while the flag is clear
+				enc(isa.OpBNE, 0, 13, 0, int32(nwork+2)), // pollers skip the producer
+			)
+			for j := 0; j < nwork; j++ {
+				w = append(w, enc(aluR[rng.Intn(len(aluR))], wr(), wr(), wr(), 0))
+			}
+			w = append(w,
+				enc(isa.OpADDI, 13, 0, 0, int32(1+rng.Intn(500))),
+				enc(isa.OpSW, 0, 4, 13, fuzzFlag), // release the pollers
+			)
 		case k < 38: // counted loop: r14 marches through a window up to r15
 			base := uint8(4)
 			if rng.Intn(2) == 0 {
@@ -164,6 +185,12 @@ func fuzzProg(rng *rand.Rand, nsync int) []isa.Word {
 	return w
 }
 
+// fuzzFlag is the shared-window offset (from r4) of the poll/produce
+// template's flag word, clear at reset. It lies above every other
+// template's accesses through r4 (offsets up to 53) and below the tail's
+// stores (60–62), so only a producer sets it.
+const fuzzFlag = 56
+
 // fuzzImage lays out per-core programs in one of three placements and backs
 // them with a shared data window, a private-window power domain and a
 // sync-point mirror.
@@ -172,6 +199,7 @@ func fuzzImage(rng *rand.Rand, ncore, layout, nsync int) *Image {
 	for i := range data {
 		data[i] = uint16(rng.Intn(1 << 16))
 	}
+	data[fuzzFlag] = 0
 	img := &Image{
 		SharedLimit:   1024,
 		NumSyncPoints: nsync,
@@ -272,7 +300,9 @@ func TestDiffFuzz(t *testing.T) {
 	for ncore := 1; ncore <= 4; ncore++ {
 		ncore := ncore
 		t.Run(fmt.Sprintf("c%d", ncore), func(t *testing.T) {
-			var blockCycles, mcCycles uint64
+			// sameBank* sum the stride cycles and the cycles no leap covered
+			// over the same-IM-bank placement's cases.
+			var blockCycles, mcCycles, sameBankStride, sameBankBusy uint64
 			for ci := 0; ci < *fuzzCases; ci++ {
 				ci := ci
 				t.Run(fmt.Sprintf("case%03d", ci), func(t *testing.T) {
@@ -302,6 +332,10 @@ func TestDiffFuzz(t *testing.T) {
 					assertFuzzIdentical(t, exact, fast, exactErr, fastErr)
 					blockCycles += fast.BlockCycles()
 					mcCycles += fast.BlockMCCycles()
+					if layout == 1 {
+						sameBankStride += fast.BlockMCCycles()
+						sameBankBusy += fast.Cycle() - fast.FFSkippedCycles() - fast.SpinSkippedCycles()
+					}
 
 					if t.Failed() {
 						t.Logf("arch %v, layout %d, budget %d, split %d", cfg.Arch, layout, budget, split)
@@ -315,13 +349,22 @@ func TestDiffFuzz(t *testing.T) {
 			}
 			// The fuzzer must actually exercise the engines it is meant to
 			// pin. With a non-trivial case budget, single-core runs must hit
-			// block runs and multi-core runs must hit lock-step strides.
+			// block runs and multi-core runs must hit strides — including the
+			// same-IM-bank placement, whose fetches collide every cycle the
+			// cores diverge: strides must arbitrate at least a tenth of its
+			// unleapt cycles. The generator's programs run a fifth to a half
+			// there; strides that ended at their first conflict would reach
+			// about 1 %.
 			if *fuzzCases >= 20 {
 				if blockCycles == 0 {
 					t.Errorf("no case engaged the block engine (%d cases)", *fuzzCases)
 				}
 				if ncore >= 2 && mcCycles == 0 {
 					t.Errorf("no case engaged multi-core strides (%d cases)", *fuzzCases)
+				}
+				if ncore >= 2 && sameBankStride*10 < sameBankBusy {
+					t.Errorf("same-IM-bank cases ran %d of %d unleapt cycles on strides, want at least 10%%",
+						sameBankStride, sameBankBusy)
 				}
 			}
 		})

@@ -39,10 +39,13 @@ import (
 // Run simulates up to n further cycles, stopping early when every core has
 // halted or a fault occurs. Unless the platform is in exact mode, quiescent
 // stretches are leapt over in bulk, and — when no event tracer is attached —
-// proven-periodic spin-loop stretches too (spinff.go), while compute-bound
-// stretches — one core in straight-line code, or N ≥ 2 running cores in
-// conflict-free lock-step — execute on the basic-block fast path
-// (blockengine.go); the observable behaviour is identical either way.
+// proven-periodic spin-loop stretches too (spinff.go), while every other
+// stretch with a core at work — one core in straight-line code, or N ≥ 2
+// running cores, their bank conflicts arbitrated cycle by cycle and any
+// busy-waiting pollers carried along — executes on the basic-block fast
+// path (blockengine.go). Step simulates only the cycles no engine can
+// reproduce: sync ISE, HALT, MMIO, faults and the spin engine's probes. The
+// observable behaviour is identical either way.
 func (p *Platform) Run(n uint64) error {
 	p.spinSetTracking(!p.exact && p.tracer == nil)
 	limit := p.cycle + n

@@ -21,8 +21,9 @@
 // side-effect-free loop, the MC-nosync idiom). The basic-block engine
 // (blockengine.go) executes compute-bound stretches from per-image
 // predecoded block tables with bulk accounting, as single-core block runs
-// and as multi-core lock-step strides proven conflict-free cycle by cycle,
-// removing Step's per-cycle dispatch overhead without skipping any work.
+// and as multi-core strides that arbitrate bank conflicts exactly as Step
+// does and carry busy-wait pollers alongside working cores, removing Step's
+// per-cycle dispatch overhead without skipping any work.
 // All four are bit-identical to stepping; Config.Exact / SetExact turn all
 // of them off, as an escape hatch and as the reference the
 // golden-equivalence tests compare against.
@@ -147,6 +148,10 @@ type Platform struct {
 	lastCycleIdle bool   // previous stepped cycle had every core idle/halted
 	ffLeaps       uint64 // bulk leaps taken
 	ffSkipped     uint64 // cycles accounted in bulk instead of stepped
+
+	// stepped counts the cycles Step advanced: process state like the spin
+	// and block diagnostics, so Restore and Fork reset it.
+	stepped uint64
 
 	// Spin-loop fast-forward engine state (see spinff.go).
 	spin spinFF
@@ -485,6 +490,12 @@ func (p *Platform) FFLeaps() uint64 { return p.ffLeaps }
 // fast-forward engine instead of being individually stepped.
 func (p *Platform) FFSkippedCycles() uint64 { return p.ffSkipped }
 
+// StepCycles returns how many cycles Step simulated one by one. On a
+// platform that was never restored it completes the cycle partition:
+// FFSkippedCycles + SpinSkippedCycles + BlockCycles + BlockMCCycles +
+// StepCycles == Cycle. Restore and Fork reset it.
+func (p *Platform) StepCycles() uint64 { return p.stepped }
+
 // Cycle returns the current cycle number.
 func (p *Platform) Cycle() uint64 { return p.cycle }
 
@@ -516,6 +527,7 @@ func (p *Platform) PublishMetrics(reg *obs.Registry) {
 	reg.Add("engine.block.cycles", p.block.cycles)
 	reg.Add("engine.block.mc_strides", p.block.mcRuns)
 	reg.Add("engine.block.mc_cycles", p.block.mcCycles)
+	reg.Add("engine.step.cycles", p.stepped)
 	reg.Add("sim.cycles", p.cycle)
 	reg.Add("sim.max_sample_busy_cycles", p.maxSampleBusy)
 	for c := 0; c < p.ncore; c++ {

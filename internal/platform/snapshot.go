@@ -201,12 +201,14 @@ func (p *Platform) adopt(s *Snapshot) error {
 	// snapshots deliberately omit it and restoring simply re-detects. This
 	// keeps Restore/Fork bit-identical to never having stopped while
 	// letting leap placement differ — exactly like Run-call chunking does.
-	// The block engine's yield spans, loop verdicts, stride back-off and
-	// engagement statistics are process state for the same reason: a
-	// restored platform re-engages from its block tables wherever the
-	// preconditions hold, on one core or many, and judges its loops anew.
+	// The block engine's yield spans, loop verdicts and engagement
+	// statistics, and the stepped-cycle count, are process state for the
+	// same reason: a restored platform re-engages from its block tables
+	// wherever the preconditions hold, on one core or many, and judges its
+	// loops anew.
 	p.spinReset()
 	p.blockReset()
+	p.stepped = 0
 	// Observability stamps (barrier-arrival cycles, per-channel sample
 	// counts) are process state for the same reason: they describe this
 	// process's observation window, never simulated state, and snapshots

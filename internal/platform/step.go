@@ -18,6 +18,7 @@ func (p *Platform) Step() error {
 		return p.fault
 	}
 	p.cycle++
+	p.stepped++
 	cyc := p.cycle
 
 	// Peripherals first: samples published at cycle T are visible to

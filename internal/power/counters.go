@@ -90,27 +90,31 @@ func (c *Counters) AddIdleCycles(n, gatedCores, haltedCores uint64) {
 // activity a straight-line stretch accumulated, applied in one shot instead
 // of per cycle. Both the single-core block path and the multi-core stride
 // path fill one of these, so the counter mapping — which fields a stride may
-// touch, and that interconnect traffic is exactly fetches plus granted data
-// requests — lives in one place.
+// touch, and that interconnect traffic is exactly the fetch and data
+// requests issued — lives in one place.
 //
-// A stride by construction contains no MMIO, no sync ISE, no bank conflicts
-// and no stalled requests, so the conflict/MMIO/sync counters have no delta.
+// A stride by construction contains no MMIO and no sync ISE, so the MMIO and
+// sync counters have no delta. Bank conflicts are arbitrated cycle by cycle
+// exactly as Step arbitrates them: a stalled request counts as issued in
+// IMReqs/DMReqs and as a conflict, and its core-cycle as a stall.
 type StrideDelta struct {
 	Cycles uint64 // platform cycles covered by the stride
 	Instrs uint64 // instructions executed
 
 	ActiveCycles  uint64 // core-cycles that executed (CoreActive)
-	StallCycles   uint64 // branch-bubble core-cycles (CoreStall)
+	StallCycles   uint64 // bubble and conflict-stall core-cycles (CoreStall)
 	BranchBubbles uint64 // taken branches
-	UngatedCycles uint64 // core-cycles receiving a clock (active or bubble)
+	UngatedCycles uint64 // core-cycles receiving a clock (active or stalled)
 	GatedCycles   uint64 // core-cycles spent clock-gated alongside the stride
 	HaltedCycles  uint64 // core-cycles spent power-gated alongside the stride
 
 	IMReqs     uint64 // fetch requests issued
 	IMAccesses uint64 // bank reads performed after broadcast merging
+	IMConflict uint64 // fetch requests stalled by a bank conflict
 	DMReqs     uint64 // data requests issued
 	DMReads    uint64 // bank reads performed (merged riders excluded)
 	DMWrites   uint64 // bank writes performed
+	DMConflict uint64 // data requests stalled by a bank conflict
 }
 
 // AddStride accounts one block-engine stride. It must mutate exactly the
@@ -127,10 +131,13 @@ func (c *Counters) AddStride(d StrideDelta) {
 	c.CoreHalted += d.HaltedCycles
 	c.IMReqs += d.IMReqs
 	c.IMAccesses += d.IMAccesses
+	c.IMConflict += d.IMConflict
 	c.DMReqs += d.DMReqs
 	c.DMReads += d.DMReads
 	c.DMWrites += d.DMWrites
-	// Every fetch and every granted data request crossed the interconnect.
+	c.DMConflict += d.DMConflict
+	// Every fetch and data request, granted or stalled, crossed the
+	// interconnect.
 	c.XbarReqs += d.IMReqs + d.DMReqs
 }
 

@@ -147,6 +147,18 @@ func assertFFEquivalent(t *testing.T, cores int, exact, fast *platform.Platform)
 	}
 }
 
+// assertCyclePartition checks that a fresh platform's engine odometers
+// partition its simulated cycles: each one was leapt idle, leapt spinning,
+// run on a single-core block or a multi-core stride, or stepped.
+func assertCyclePartition(t *testing.T, mode string, p *platform.Platform) {
+	t.Helper()
+	ff, spin, block, stride, step := p.FFSkippedCycles(), p.SpinSkippedCycles(), p.BlockCycles(), p.BlockMCCycles(), p.StepCycles()
+	if sum := ff + spin + block + stride + step; sum != p.Cycle() {
+		t.Errorf("%s: idle %d + spin %d + block %d + stride %d + step %d = %d cycles, want Cycle() = %d",
+			mode, ff, spin, block, stride, step, sum, p.Cycle())
+	}
+}
+
 // TestScenarioFastForwardGoldenEquivalence is the spin-engine acceptance
 // matrix: across every bundled scenario and all three architecture
 // variants, the fast-forwarded run (idle and spin-loop leaps) must be
@@ -162,6 +174,8 @@ func TestScenarioFastForwardGoldenEquivalence(t *testing.T) {
 				exact := runFFGolden(t, scn, app, arch, true)
 				fast := runFFGolden(t, scn, app, arch, false)
 				assertFFEquivalent(t, exact.PowerConfig().NumCores, exact, fast)
+				assertCyclePartition(t, "exact", exact)
+				assertCyclePartition(t, "fast", fast)
 				// How much is skippable depends on the workload (a 400 Hz
 				// EMG grid is genuinely busier than 250 Hz ECG); what is
 				// invariant is that some of it is, and that it never costs
