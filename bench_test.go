@@ -43,21 +43,23 @@ func benchSignal(b *testing.B, app string, opts exp.Options) *signal.Source {
 func benchTableIApp(b *testing.B, app string) {
 	opts := benchOpts()
 	params := power.DefaultParams()
+	ctx := context.Background()
 	sig := benchSignal(b, app, opts)
 	for i := 0; i < b.N; i++ {
-		scOp, err := exp.SolveOperatingPoint(app, power.SC, sig, opts)
+		s := exp.NewSession(params)
+		scOp, err := s.SolveOperatingPoint(ctx, app, power.SC, sig, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		mcOp, err := exp.SolveOperatingPoint(app, power.MC, sig, opts)
+		mcOp, err := s.SolveOperatingPoint(ctx, app, power.MC, sig, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		sc, err := exp.Measure(app, power.SC, scOp, sig, opts, params)
+		sc, err := s.Measure(ctx, app, power.SC, scOp, sig, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		mc, err := exp.Measure(app, power.MC, mcOp, sig, opts, params)
+		mc, err := s.Measure(ctx, app, power.MC, mcOp, sig, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -84,29 +86,31 @@ func BenchmarkTableI_RPCLASS(b *testing.B) { benchTableIApp(b, apps.RPClass) }
 func benchFig6App(b *testing.B, app string) {
 	opts := benchOpts()
 	params := power.DefaultParams()
+	ctx := context.Background()
 	sig := benchSignal(b, app, opts)
 	for i := 0; i < b.N; i++ {
-		scOp, err := exp.SolveOperatingPoint(app, power.SC, sig, opts)
+		s := exp.NewSession(params)
+		scOp, err := s.SolveOperatingPoint(ctx, app, power.SC, sig, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		mcOp, err := exp.SolveOperatingPoint(app, power.MC, sig, opts)
+		mcOp, err := s.SolveOperatingPoint(ctx, app, power.MC, sig, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		nsOp, err := exp.SolveOperatingPoint(app, power.MCNoSync, sig, opts)
+		nsOp, err := s.SolveOperatingPoint(ctx, app, power.MCNoSync, sig, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		sc, err := exp.Measure(app, power.SC, scOp, sig, opts, params)
+		sc, err := s.Measure(ctx, app, power.SC, scOp, sig, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ns, err := exp.Measure(app, power.MCNoSync, nsOp, sig, opts, params)
+		ns, err := s.Measure(ctx, app, power.MCNoSync, nsOp, sig, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		mc, err := exp.Measure(app, power.MC, mcOp, sig, opts, params)
+		mc, err := s.Measure(ctx, app, power.MC, mcOp, sig, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -131,7 +135,9 @@ func BenchmarkFigure6_RPCLASS(b *testing.B) { benchFig6App(b, apps.RPClass) }
 // the pathological-share positions that define the curve's shape.
 func BenchmarkFigure7(b *testing.B) {
 	params := power.DefaultParams()
+	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
+		s := exp.NewSession(params)
 		for _, share := range []float64{0, 0.20, 1.00} {
 			opts := benchOpts()
 			opts.PathoFrac = share
@@ -140,19 +146,19 @@ func BenchmarkFigure7(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			scOp, err := exp.SolveOperatingPoint(apps.RPClass, power.SC, sig, opts)
+			scOp, err := s.SolveOperatingPoint(ctx, apps.RPClass, power.SC, sig, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
-			mcOp, err := exp.SolveOperatingPoint(apps.RPClass, power.MC, sig, opts)
+			mcOp, err := s.SolveOperatingPoint(ctx, apps.RPClass, power.MC, sig, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
-			sc, err := exp.Measure(apps.RPClass, power.SC, scOp, sig, opts, params)
+			sc, err := s.Measure(ctx, apps.RPClass, power.SC, scOp, sig, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
-			mc, err := exp.Measure(apps.RPClass, power.MC, mcOp, sig, opts, params)
+			mc, err := s.Measure(ctx, apps.RPClass, power.MC, mcOp, sig, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -175,21 +181,23 @@ func BenchmarkFigure7(b *testing.B) {
 func BenchmarkAblationSyncISE(b *testing.B) {
 	opts := benchOpts()
 	params := power.DefaultParams()
+	ctx := context.Background()
 	sig := benchSignal(b, apps.MF3L, opts)
 	for i := 0; i < b.N; i++ {
-		mcOp, err := exp.SolveOperatingPoint(apps.MF3L, power.MC, sig, opts)
+		s := exp.NewSession(params)
+		mcOp, err := s.SolveOperatingPoint(ctx, apps.MF3L, power.MC, sig, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		nsOp, err := exp.SolveOperatingPoint(apps.MF3L, power.MCNoSync, sig, opts)
+		nsOp, err := s.SolveOperatingPoint(ctx, apps.MF3L, power.MCNoSync, sig, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		mc, err := exp.Measure(apps.MF3L, power.MC, mcOp, sig, opts, params)
+		mc, err := s.Measure(ctx, apps.MF3L, power.MC, mcOp, sig, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ns, err := exp.Measure(apps.MF3L, power.MCNoSync, nsOp, sig, opts, params)
+		ns, err := s.Measure(ctx, apps.MF3L, power.MCNoSync, nsOp, sig, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -203,19 +211,21 @@ func BenchmarkAblationSyncISE(b *testing.B) {
 func BenchmarkAblationVFS(b *testing.B) {
 	opts := benchOpts()
 	params := power.DefaultParams()
+	ctx := context.Background()
 	sig := benchSignal(b, apps.MF3L, opts)
 	for i := 0; i < b.N; i++ {
-		mcOp, err := exp.SolveOperatingPoint(apps.MF3L, power.MC, sig, opts)
+		s := exp.NewSession(params)
+		mcOp, err := s.SolveOperatingPoint(ctx, apps.MF3L, power.MC, sig, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		mc, err := exp.Measure(apps.MF3L, power.MC, mcOp, sig, opts, params)
+		mc, err := s.Measure(ctx, apps.MF3L, power.MC, mcOp, sig, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
 		noVFS := mcOp
 		noVFS.VoltageV = 0.6 // the single-core operating voltage
-		mcHighV, err := exp.Measure(apps.MF3L, power.MC, noVFS, sig, opts, params)
+		mcHighV, err := s.Measure(ctx, apps.MF3L, power.MC, noVFS, sig, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -230,13 +240,15 @@ func BenchmarkAblationVFS(b *testing.B) {
 func BenchmarkAblationBroadcast(b *testing.B) {
 	opts := benchOpts()
 	params := power.DefaultParams()
+	ctx := context.Background()
 	sig := benchSignal(b, apps.MF3L, opts)
 	for i := 0; i < b.N; i++ {
-		mcOp, err := exp.SolveOperatingPoint(apps.MF3L, power.MC, sig, opts)
+		s := exp.NewSession(params)
+		mcOp, err := s.SolveOperatingPoint(ctx, apps.MF3L, power.MC, sig, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		mc, err := exp.Measure(apps.MF3L, power.MC, mcOp, sig, opts, params)
+		mc, err := s.Measure(ctx, apps.MF3L, power.MC, mcOp, sig, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -2,22 +2,21 @@
 // Figure 6 and Figure 7 — and, with -scenario, solves and measures the
 // operating-point grid of declarative scenario files (EMG, PPG, multi-rate
 // mixes) through the same parallel sweep engine. All experiments share one
-// checkpointable Session: -checkpoint persists solved operating points and
-// probe demands across invocations (re-runs skip the operating-point search
-// and print byte-identical results), and -format json emits the
-// operating-point tables as one JSON object per grid point for tracking
-// bench trajectories across commits.
+// Session: -store backs it with a content-addressed result store that every
+// solved operating point, probe demand and warm snapshot is written through
+// to as it is produced (re-runs skip the operating-point search, warm-start
+// their measurements and print byte-identical results), and -format json
+// emits the operating-point tables as one JSON object per grid point for
+// tracking bench trajectories across commits.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
-
 	"strings"
 
 	"repro/internal/apps"
@@ -25,16 +24,16 @@ import (
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/scenario"
+	"repro/internal/serve/store"
 )
 
 // bench bundles the run-wide state: the shared sweep engine (and through it
 // the session), the output mode, and the JSON rows accumulated across
 // experiments.
 type bench struct {
-	sweep      *exp.Sweep
-	format     string
-	checkpoint string
-	jsonRows   []exp.PointJSON
+	sweep    *exp.Sweep
+	format   string
+	jsonRows []exp.PointJSON
 
 	// Observability surfaces: the registry is the uniform stderr stats
 	// sink (and -metrics-out document); the sink additionally feeds the
@@ -46,26 +45,11 @@ type bench struct {
 	metricsOut  string
 }
 
-// fail saves whatever the session solved so far (a failing grid must not
-// forfeit its finished points on the next attempt), reports the error and
-// exits.
+// fail reports the error and exits. With -store, the cells finished so far
+// are already on disk, so the next attempt does not redo them.
 func (b *bench) fail(prefix string, err error) {
-	b.saveCheckpoint()
 	fmt.Fprintf(os.Stderr, "%s: %v\n", prefix, err)
 	os.Exit(1)
-}
-
-func (b *bench) saveCheckpoint() {
-	if b.checkpoint == "" {
-		return
-	}
-	if err := b.sweep.Session.SaveCheckpoint(b.checkpoint); err != nil {
-		fmt.Fprintf(os.Stderr, "checkpoint: %v\n", err)
-		return
-	}
-	solved, demands := b.sweep.Session.CheckpointSize()
-	fmt.Fprintf(os.Stderr, "checkpoint: wrote %s (%d solved points, %d probe demands)\n",
-		b.checkpoint, solved, demands)
 }
 
 // finish publishes the session's reuse and fast-forward work into the
@@ -113,25 +97,6 @@ func (b *bench) writeObsOutputs() {
 			b.fail("metrics-out", err)
 		}
 	}
-}
-
-func (b *bench) loadCheckpoint() {
-	if b.checkpoint == "" {
-		return
-	}
-	if _, err := os.Stat(b.checkpoint); errors.Is(err, os.ErrNotExist) {
-		return
-	}
-	if err := b.sweep.Session.LoadCheckpoint(b.checkpoint); err != nil {
-		// Exit without the usual partial-progress save: nothing was loaded,
-		// so saving would overwrite the (corrupt or foreign-versioned, but
-		// possibly recoverable) file with an empty session.
-		fmt.Fprintf(os.Stderr, "checkpoint: %v\n", err)
-		os.Exit(1)
-	}
-	solved, demands := b.sweep.Session.CheckpointSize()
-	fmt.Fprintf(os.Stderr, "checkpoint: loaded %s (%d solved points, %d probe demands)\n",
-		b.checkpoint, solved, demands)
 }
 
 // emit routes one solved grid to the selected output: a rendered table now,
@@ -196,7 +161,7 @@ func main() {
 	jobs := flag.Int("jobs", runtime.NumCPU(), "parallel sweep workers (results are identical for any value; 1 = serial)")
 	quiet := flag.Bool("quiet", false, "suppress per-point progress on stderr")
 	format := flag.String("format", "table", "output format: table (rendered) or json (one object per grid point)")
-	checkpoint := flag.String("checkpoint", "", "session checkpoint file: loaded when present, rewritten after the run; re-runs reuse solved operating points (bit-identical results)")
+	storeDir := flag.String("store", "", "content-addressed result store directory: solved points, probe demands and warm snapshots are read from it and written through as they are produced; re-runs reuse them (bit-identical results)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	timelineOut := flag.String("timeline-out", "", "write the simulated-event timeline as Chrome trace-event JSON (load in Perfetto); observation only, results are bit-identical")
@@ -253,12 +218,24 @@ func main() {
 	// cache, built images, probe runs and solved points are shared, so work
 	// reused between Table I, Figure 6, Figure 7 and the scenario grids
 	// happens once.
-	b := &bench{sweep: exp.NewSweep(*jobs, params), format: *format, checkpoint: *checkpoint,
+	b := &bench{sweep: exp.NewSweep(*jobs, params), format: *format,
 		reg: reg, sink: sink, timelineOut: *timelineOut, metricsOut: *metricsOut}
 	if !*quiet {
 		b.sweep.Progress = exp.ProgressPrinter(os.Stderr)
 	}
-	b.loadCheckpoint()
+	if *storeDir != "" {
+		st, err := store.Open(*storeDir)
+		if err != nil {
+			b.fail("store", err)
+		}
+		solves, demands, warms, err := st.Len()
+		if err != nil {
+			b.fail("store", err)
+		}
+		fmt.Fprintf(os.Stderr, "store: %s (%d solved points, %d probe demands, %d warm snapshots)\n",
+			st.Dir(), solves, demands, warms)
+		b.sweep.Session.SetStore(st)
+	}
 
 	if *syncSpecs != "" && *scenarios != "" {
 		fmt.Fprintln(os.Stderr, "-sync and -scenario both select the whole grid; pick one (scenario files can declare descriptors in their \"sync\" stanza instead)")
@@ -294,7 +271,6 @@ func main() {
 			fmt.Println()
 		})
 		b.flushJSON()
-		b.saveCheckpoint()
 		b.finish(*quiet)
 		return
 	}
@@ -326,7 +302,6 @@ func main() {
 			}
 		}
 		b.flushJSON()
-		b.saveCheckpoint()
 		b.finish(*quiet)
 		return
 	}
@@ -379,7 +354,6 @@ func main() {
 		return nil
 	})
 	b.flushJSON()
-	b.saveCheckpoint()
 	b.finish(*quiet)
 }
 

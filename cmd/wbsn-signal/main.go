@@ -1,9 +1,10 @@
 // Command wbsn-signal dumps any registered synthetic signal kind (ECG, EMG,
 // PPG) as CSV for inspection, with the ground-truth event annotations as
-// comments. It supersedes cmd/wbsn-ecg, which remains as an ECG-only alias.
-// The signal can be configured by flags or taken from a scenario file; with
-// multi-rate divisors the decimated channels leave blank cells on the base
-// indices they skip, making the per-channel sampling grids visible.
+// comments. The kind defaults to ECG, so with no flags it dumps a 10-s
+// multi-lead ECG record. The signal can be configured by flags or taken
+// from a scenario file; with multi-rate divisors the decimated channels
+// leave blank cells on the base indices they skip, making the per-channel
+// sampling grids visible.
 package main
 
 import (

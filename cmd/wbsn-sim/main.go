@@ -8,8 +8,7 @@
 // application and duration come from a declarative scenario file instead of
 // the ECG flags. With -checkpoint the platform state is dumped at the end of
 // the run and a later invocation with the same configuration resumes it,
-// continuing the simulation exactly where it stopped (in -sweep mode the
-// flag instead persists the session's solved operating points).
+// continuing the simulation exactly where it stopped.
 package main
 
 import (
@@ -120,10 +119,10 @@ func main() {
 	dumpMapping := flag.Bool("dump-mapping", false, "print code/data placement and exit")
 	traceN := flag.Int("trace", 0, "record platform events and print the last N")
 	exact := flag.Bool("exact", false, "disable every fast path (idle and spin fast-forward, block runs, strides); simulate every cycle (bit-identical results, slower)")
-	sweepArchs := flag.Bool("sweep", false, "solve and measure the app on sc, mc-nosync and mc (ignores -arch/-clock-mhz/-voltage; incompatible with -trace/-dump-mapping)")
+	sweepArchs := flag.Bool("sweep", false, "solve and measure the app on sc, mc-nosync and mc (ignores -arch/-clock-mhz/-voltage; incompatible with -trace/-dump-mapping/-checkpoint)")
 	probe := flag.Float64("probe", 2.5, "simulated seconds per operating-point probe (-sweep)")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "parallel sweep workers (-sweep; results are identical for any value)")
-	checkpoint := flag.String("checkpoint", "", "checkpoint file: resume the simulation from it when present (same flags required) and rewrite it after -duration more seconds; with -sweep, persists solved operating points instead")
+	checkpoint := flag.String("checkpoint", "", "checkpoint file: resume the simulation from it when present (same flags required) and rewrite it after -duration more seconds")
 	record := flag.Float64("record", 0, "synthesized record length in seconds (0 = -duration+2); generators are not prefix-stable across lengths, so checkpointed runs and any run they should be compared against must pin the same -record")
 	timelineOut := flag.String("timeline-out", "", "write the run's event timeline as Chrome trace-event JSON (loads in Perfetto / chrome://tracing); observation only — results are bit-identical and all fast paths stay engaged")
 	metricsOut := flag.String("metrics-out", "", "write the run's metrics registry (counters + histograms) as stable JSON to this file")
@@ -197,15 +196,15 @@ func main() {
 	}
 
 	if *sweepArchs {
-		if *dumpMapping || *traceN > 0 {
-			fatal(fmt.Errorf("-sweep compares solved operating points and is incompatible with -dump-mapping and -trace; run those against one -arch"))
+		if *dumpMapping || *traceN > 0 || *checkpoint != "" {
+			fatal(fmt.Errorf("-sweep compares solved operating points and is incompatible with -dump-mapping, -trace and -checkpoint; run those against one -arch (wbsn-bench -store persists solved operating points)"))
 		}
 		runSweep(*app, exp.Options{
 			Duration: *duration, ProbeDuration: *probe,
 			PathoFrac: base.PathologicalFrac, Seed: base.Seed,
 			Source: base, Scenario: scenarioName, Exact: *exact,
 			Obs: sink,
-		}, *jobs, *checkpoint, reg)
+		}, *jobs, reg)
 		writeObsOutputs(sink, reg, *timelineOut, *metricsOut)
 		return
 	}
@@ -358,32 +357,15 @@ func main() {
 
 // runSweep solves and measures one application on every architecture variant
 // (exp.Fig6Archs: SC first, so the "vs SC" column normalizes against ms[0])
-// through the parallel sweep engine and prints the comparison. A checkpoint
-// file, when given, persists the session's solved operating points across
-// invocations (the platform-snapshot form of -checkpoint needs a single
-// fixed configuration, which a sweep by definition does not have).
-func runSweep(app string, opts exp.Options, jobs int, checkpoint string, reg *obs.Registry) {
+// through the parallel sweep engine and prints the comparison.
+func runSweep(app string, opts exp.Options, jobs int, reg *obs.Registry) {
 	s := exp.NewSweep(jobs, power.DefaultParams())
 	s.Progress = exp.ProgressPrinter(os.Stderr)
-	if checkpoint != "" {
-		if _, err := os.Stat(checkpoint); err == nil {
-			if err := s.Session.LoadCheckpoint(checkpoint); err != nil {
-				fatal(err)
-			}
-		} else if !errors.Is(err, os.ErrNotExist) {
-			fatal(err)
-		}
-	}
 	points := make([]exp.Point, 0, len(exp.Fig6Archs))
 	for _, arch := range exp.Fig6Archs {
 		points = append(points, exp.Point{App: app, Arch: arch, Opts: opts})
 	}
 	ms, err := s.Run(context.Background(), points)
-	if checkpoint != "" {
-		if serr := s.Session.SaveCheckpoint(checkpoint); serr != nil {
-			fmt.Fprintf(os.Stderr, "checkpoint: %v\n", serr)
-		}
-	}
 	if err != nil {
 		fatal(err)
 	}

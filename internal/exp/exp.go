@@ -6,8 +6,8 @@
 //
 // # Session lifecycle
 //
-// Every solve and measurement runs through a Session, the checkpointable
-// engine that amortizes the grid's shared work. One cell's life cycle:
+// Every solve and measurement runs through a Session, the engine that
+// amortizes the grid's shared work. One cell's life cycle:
 //
 //  1. Record: Options.Record synthesizes (or recalls from the shared
 //     signal.Cache) the cell's input record.
@@ -20,9 +20,12 @@
 //     the probe boundary.
 //  4. Measure: continues the probe-boundary snapshot to Options.Duration
 //     (bit-identical to a from-scratch run) and computes the power report.
-//  5. Checkpoint: SaveCheckpoint persists solved points and demand
-//     estimates; a later invocation's LoadCheckpoint skips the
-//     simulations that produced them.
+//  5. Persist: with a PointStore installed (Session.SetStore), steps 2–4
+//     write their demand estimate, solved point and probe-boundary
+//     snapshot through as they are produced. A later process over the same
+//     store recalls them: its solve runs no simulation, and its measurement
+//     continues the stored snapshot where the solve kept one. Keys carry
+//     ResultsVersion, so entries from another version are never read.
 //
 // Results are bit-identical to solving each cell from scratch
 // (SolveOperatingPointFromScratch is retained as the reference, and the
@@ -31,11 +34,12 @@
 // Session; results are deterministic for any worker count.
 //
 // Options.Exact threads the simulator's escape hatch through every run the
-// session performs: the platform's idle and spin-loop fast-forward engines
-// are disabled, SessionStats' fast-forward counters stay zero, and —
-// because the engines are bit-identical by contract — every solved point,
-// measurement and error is unchanged. Cache keys include the flag, so
-// exact and fast results never mix even within one session.
+// session performs: all four of the platform's fast paths (idle and
+// spin-loop fast-forward, single-core block runs, multi-core strides) are
+// disabled, SessionStats' fast-forward and block-engine counters stay zero,
+// and — because the engines are bit-identical by contract — every solved
+// point, measurement and error is unchanged. Cache keys include the flag,
+// so exact and fast results never mix even within one session.
 package exp
 
 import (
@@ -157,34 +161,23 @@ type OperatingPoint struct {
 	VoltageV float64
 }
 
-// SolveOperatingPoint finds the minimum clock meeting real time for the
-// given application/architecture (paper §V-A: "the system clock frequency is
-// reduced to the minimum in order to exploit the benefits of VFS"), then the
-// minimum voltage sustaining it. Useful work per second is frequency
-// independent (idle cores are clock-gated), so the demand is estimated from
-// the busiest core at a generous clock and verified at the candidate,
-// escalating on real-time violations.
-//
-// The search runs on a throwaway Session: candidate frequencies fork one
-// pristine platform instead of rebuilding the application per candidate, and
-// failing candidates abort at their first real-time violation. Callers
-// solving more than one point should hold their own Session — it
-// additionally shares probe runs and built images across solves, and its
-// probe-boundary snapshots make the following Measure calls continue the
-// verified run (see Session).
-func SolveOperatingPoint(app string, arch power.Arch, sig *signal.Source, opts Options) (OperatingPoint, error) {
-	return NewSession(nil).SolveOperatingPoint(context.Background(), app, arch, sig, opts)
-}
-
 // SolveOperatingPointFromScratch is the reference implementation of the
-// operating-point search: every run on a freshly built platform, every
-// verification over its full probe window, nothing shared or snapshotted.
-// It is retained (and kept in lock-step with Session.SolveOperatingPoint)
-// as the bit-equivalence baseline for the session golden tests and the
-// checkpoint benchmark; production callers go through Session. Every
-// simulated run is preceded by a cancellation check, so a caller aborting
-// on another point's failure waits for at most one in-flight probe or
-// verification run, not the whole escalation loop.
+// operating-point search. It finds the minimum clock meeting real time for
+// the given application/architecture (paper §V-A: "the system clock
+// frequency is reduced to the minimum in order to exploit the benefits of
+// VFS"), then the minimum voltage sustaining it. Useful work per second is
+// frequency independent (idle cores are clock-gated), so the demand is
+// estimated from the busiest core at a generous clock and verified at the
+// candidate, escalating on real-time violations.
+//
+// Every run is on a freshly built platform, every verification over its
+// full probe window, nothing shared or snapshotted. It is retained (and
+// kept in lock-step with Session.SolveOperatingPoint) as the
+// bit-equivalence baseline for the session golden tests and the session
+// benchmark; production callers go through Session. Every simulated run is
+// preceded by a cancellation check, so a caller aborting on another point's
+// failure waits for at most one in-flight probe or verification run, not
+// the whole escalation loop.
 func SolveOperatingPointFromScratch(ctx context.Context, app string, arch power.Arch, sig *signal.Source, opts Options) (OperatingPoint, error) {
 	probeSig, err := opts.probeRecord(app)
 	if err != nil {
@@ -329,11 +322,12 @@ type Measurement struct {
 	CodeOverheadPct float64
 }
 
-// Measure runs app/arch at the given operating point for opts.Duration and
-// computes the power report, building everything from scratch. Callers
-// measuring points they just solved should use Session.Measure, which
-// continues the solve's verified probe run (bit-identical, less simulation).
-func Measure(app string, arch power.Arch, op OperatingPoint, sig *signal.Source, opts Options, params *power.Params) (*Measurement, error) {
+// MeasureFromScratch runs app/arch at the given operating point for
+// opts.Duration and computes the power report, building everything from
+// scratch. It is the reference Session.Measure is pinned against; callers
+// go through Session.Measure, which continues the solve's verified probe
+// run (bit-identical, less simulation).
+func MeasureFromScratch(app string, arch power.Arch, op OperatingPoint, sig *signal.Source, opts Options, params *power.Params) (*Measurement, error) {
 	v, err := apps.Build(app, arch)
 	if err != nil {
 		return nil, err
@@ -353,7 +347,7 @@ func Measure(app string, arch power.Arch, op OperatingPoint, sig *signal.Source,
 }
 
 // finishMeasurement applies the real-time acceptance checks and assembles
-// the Measurement; shared by the from-scratch Measure and Session.Measure.
+// the Measurement; shared by MeasureFromScratch and Session.Measure.
 func finishMeasurement(v *apps.Variant, p *platform.Platform, app string, arch power.Arch, op OperatingPoint, params *power.Params) (*Measurement, error) {
 	if err := checkRealTime(p); err != nil {
 		return nil, fmt.Errorf("exp: %s/%v at %.2f MHz: %w", app, arch, op.FreqHz/1e6, err)

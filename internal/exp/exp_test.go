@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/apps"
@@ -13,16 +14,18 @@ func tinyOpts() Options {
 
 func TestSolveOperatingPointMatchesPaperVoltages(t *testing.T) {
 	opts := tinyOpts()
+	ctx := context.Background()
+	s := NewSession(nil)
 	for _, app := range apps.Names {
 		sig, err := opts.Record(app)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc, err := SolveOperatingPoint(app, power.SC, sig, opts)
+		sc, err := s.SolveOperatingPoint(ctx, app, power.SC, sig, opts)
 		if err != nil {
 			t.Fatalf("%s SC: %v", app, err)
 		}
-		mc, err := SolveOperatingPoint(app, power.MC, sig, opts)
+		mc, err := s.SolveOperatingPoint(ctx, app, power.MC, sig, opts)
 		if err != nil {
 			t.Fatalf("%s MC: %v", app, err)
 		}
@@ -42,24 +45,25 @@ func TestSolveOperatingPointMatchesPaperVoltages(t *testing.T) {
 
 func TestMeasureProducesSavings(t *testing.T) {
 	opts := tinyOpts()
-	params := power.DefaultParams()
+	ctx := context.Background()
+	s := NewSession(nil)
 	sig, err := opts.Record(apps.MF3L)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scOp, err := SolveOperatingPoint(apps.MF3L, power.SC, sig, opts)
+	scOp, err := s.SolveOperatingPoint(ctx, apps.MF3L, power.SC, sig, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mcOp, err := SolveOperatingPoint(apps.MF3L, power.MC, sig, opts)
+	mcOp, err := s.SolveOperatingPoint(ctx, apps.MF3L, power.MC, sig, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := Measure(apps.MF3L, power.SC, scOp, sig, opts, params)
+	sc, err := s.Measure(ctx, apps.MF3L, power.SC, scOp, sig, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := Measure(apps.MF3L, power.MC, mcOp, sig, opts, params)
+	mc, err := s.Measure(ctx, apps.MF3L, power.MC, mcOp, sig, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,15 +82,17 @@ func TestNoSyncNeedsHigherOperatingPoint(t *testing.T) {
 	// Divergence-induced deadline misses accumulate over time; give the
 	// verification window enough samples to expose them.
 	opts.ProbeDuration = 2.5
+	ctx := context.Background()
+	s := NewSession(nil)
 	sig, err := opts.Record(apps.MF3L)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := SolveOperatingPoint(apps.MF3L, power.MC, sig, opts)
+	mc, err := s.SolveOperatingPoint(ctx, apps.MF3L, power.MC, sig, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns, err := SolveOperatingPoint(apps.MF3L, power.MCNoSync, sig, opts)
+	ns, err := s.SolveOperatingPoint(ctx, apps.MF3L, power.MCNoSync, sig, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

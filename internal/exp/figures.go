@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -14,15 +13,6 @@ type Fig6Bar struct {
 	App  string
 	Arch power.Arch
 	M    *Measurement
-}
-
-// Figure6 reproduces the paper's Figure 6: per benchmark, the per-component
-// power of (1) the single-core baseline, (2) the multi-core system without
-// the proposed synchronization (active waiting) and (3) the multi-core
-// system with it. It runs the grid through the parallel sweep engine on all
-// cores; results are deterministic regardless of the worker count.
-func Figure6(opts Options, params *power.Params) ([]Fig6Bar, error) {
-	return NewSweep(0, params).Figure6(context.Background(), opts)
 }
 
 // FormatFigure6 renders the decomposition as text, normalized to each
@@ -60,15 +50,6 @@ type Fig7Point struct {
 
 // Fig7Shares are the paper's x-axis values.
 var Fig7Shares = []float64{0, 0.10, 0.20, 0.25, 0.33, 0.50, 1.00}
-
-// Figure7 reproduces the paper's Figure 7: RP-CLASS power on both systems,
-// and the reduction, as the share of pathological heartbeats grows
-// (uniformly distributed, §V-C). It runs the share sweep through the
-// parallel sweep engine on all cores; results are deterministic regardless
-// of the worker count.
-func Figure7(opts Options, params *power.Params) ([]Fig7Point, error) {
-	return NewSweep(0, params).Figure7(context.Background(), opts)
-}
 
 // FormatFigure7 renders the sweep as text.
 func FormatFigure7(pts []Fig7Point) string {

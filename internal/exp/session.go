@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/apps"
 	"repro/internal/obs"
@@ -15,15 +14,15 @@ import (
 	"repro/internal/signal"
 )
 
-// Session is the checkpointable experiment engine: every operating-point
-// solve and power measurement runs through one, and everything expensive a
-// grid of them shares is memoized on it — built application images, pristine
-// platform templates (forked per candidate frequency instead of
-// re-assembling, re-linking and re-loading the program), probe demand
-// estimates (MC and MC-nosync dimension against the same proposed-system
-// probe, so one simulation serves both), solved operating points, and the
-// probe-boundary platform snapshots that let a measurement continue the
-// verified probe run instead of re-simulating its warm-up window.
+// Session is the experiment engine: every operating-point solve and power
+// measurement runs through one, and everything expensive a grid of them
+// shares is memoized on it — built application images, pristine platform
+// templates (forked per candidate frequency instead of re-assembling,
+// re-linking and re-loading the program), probe demand estimates (MC and
+// MC-nosync dimension against the same proposed-system probe, so one
+// simulation serves both), solved operating points, and the probe-boundary
+// platform snapshots that let a measurement continue the verified probe run
+// instead of re-simulating its warm-up window.
 //
 // Results are bit-identical to solving and measuring each point from
 // scratch: forking a pristine template equals building a fresh platform,
@@ -34,8 +33,9 @@ import (
 // architecture and bundled scenario.
 //
 // A Session is safe for concurrent use; the parallel sweep engine threads
-// one through its whole worker pool. Solved points and demand estimates can
-// be persisted across process invocations with SaveCheckpoint/LoadCheckpoint.
+// one through its whole worker pool. Solved points, demand estimates and
+// warm snapshots outlive the process only through a PointStore installed
+// with SetStore.
 type Session struct {
 	params *power.Params
 	cache  *signal.Cache
@@ -302,14 +302,12 @@ type templateEntry struct {
 
 type demandEntry struct {
 	once   sync.Once
-	done   atomic.Bool // set after once ran; lets SaveCheckpoint read safely
 	demand float64
 	err    error
 }
 
 type solveEntry struct {
 	once sync.Once
-	done atomic.Bool
 	op   OperatingPoint
 	err  error
 }
@@ -327,8 +325,8 @@ type warmKey struct {
 // store, in the same style as the solve and demand key strings: everything
 // the probe-boundary platform state depends on.
 func warmKeyString(k warmKey) string {
-	return fmt.Sprintf("warm|%s|%s|sig=%+v|freq=%v|volt=%v|dur=%v|exact=%v",
-		k.VK.App, k.VK.Arch.Key(), k.Sig, k.FreqHz, k.VoltageV, k.ProbeDuration, k.Exact)
+	return fmt.Sprintf("warm|v%d|%s|%s|sig=%+v|freq=%v|volt=%v|dur=%v|exact=%v",
+		ResultsVersion, k.VK.App, k.VK.Arch.Key(), k.Sig, k.FreqHz, k.VoltageV, k.ProbeDuration, k.Exact)
 }
 
 // variant returns the built (assembled, linked) application image for
@@ -397,12 +395,12 @@ func (s *Session) withCache(opts Options) Options {
 }
 
 // demandKeyString serializes the demand-cache identity (stable across
-// processes, so checkpoints can persist the map). The measured record's base
+// processes, so the backing store can persist it). The measured record's base
 // rate is part of it: the SC per-sample deadline peak is derived from it, so
 // two solves probing the same record but measuring differently-rated ones
 // must not share an estimate.
 func demandKeyString(app string, demandArch power.Arch, probe sourceKey, baseRateHz float64, opts Options) string {
-	return fmt.Sprintf("demand|%s|%s|%+v|rate=%v|probe=%v|exact=%v", app, demandArch.Key(), probe, baseRateHz, opts.ProbeDuration, opts.Exact)
+	return fmt.Sprintf("demand|v%d|%s|%s|%+v|rate=%v|probe=%v|exact=%v", ResultsVersion, app, demandArch.Key(), probe, baseRateHz, opts.ProbeDuration, opts.Exact)
 }
 
 // transient reports whether err is a context-cancellation outcome: a fact
@@ -429,14 +427,14 @@ func (e *probeError) Unwrap() error { return e.err }
 // solveKeyString serializes the solved-point identity: everything the
 // escalation loop's outcome depends on.
 func solveKeyString(app string, arch power.Arch, sig, probe sourceKey, opts Options) string {
-	return fmt.Sprintf("solve|%s|%s|sig=%+v|probe=%+v|dur=%v|exact=%v", app, arch.Key(), sig, probe, opts.ProbeDuration, opts.Exact)
+	return fmt.Sprintf("solve|v%d|%s|%s|sig=%+v|probe=%+v|dur=%v|exact=%v", ResultsVersion, app, arch.Key(), sig, probe, opts.ProbeDuration, opts.Exact)
 }
 
 // SolveOperatingPoint finds the minimum real-time clock and sustaining
-// voltage for app on arch fed with sig, exactly as the package-level
-// SolveOperatingPoint does, but amortized through the session: the demand
-// probe simulates once per (app, demand architecture, record), every
-// candidate frequency runs on a Fork of one pristine template, failed
+// voltage for app on arch fed with sig, exactly as
+// SolveOperatingPointFromScratch does, but amortized through the session:
+// the demand probe simulates once per (app, demand architecture, record),
+// every candidate frequency runs on a Fork of one pristine template, failed
 // candidates abort at the first real-time violation instead of completing
 // their probe window (violations only accumulate, so the verdict — and
 // hence the solved point — is unchanged), and the verified probe run is
@@ -464,11 +462,9 @@ func (s *Session) SolveOperatingPoint(ctx context.Context, app string, arch powe
 		// (results are deterministic, keys pin the full identity).
 		if op, ok := s.storeGetSolve(key); ok {
 			e.op = op
-			e.done.Store(true)
 			return
 		}
 		e.op, e.err = s.solve(ctx, app, arch, sig, probeSig, opts)
-		e.done.Store(true)
 		if e.err == nil {
 			s.storePutSolve(key, e.op)
 		}
@@ -507,11 +503,9 @@ func (s *Session) demand(ctx context.Context, app string, demandArch power.Arch,
 		ran = true
 		if d, ok := s.storeGetDemand(key); ok {
 			e.demand = d
-			e.done.Store(true)
 			return
 		}
 		e.demand, e.err = s.runProbe(ctx, app, demandArch, probeSig, baseRateHz, opts)
-		e.done.Store(true)
 		if e.err == nil {
 			s.storePutDemand(key, e.demand)
 		}
@@ -735,7 +729,7 @@ func (s *Session) verify(pp *platform.Platform, seconds float64) (bool, error) {
 }
 
 // Measure runs app/arch at the given operating point for opts.Duration and
-// computes the power report, exactly as the package-level Measure does. When
+// computes the power report, exactly as MeasureFromScratch does. When
 // the session holds the probe-boundary snapshot of this exact configuration
 // (the solve's verified candidate), the measurement continues it — the
 // warm-up window is simulated once per configuration, and the result is

@@ -2,8 +2,9 @@ package exp
 
 import (
 	"context"
-	"path/filepath"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/apps"
@@ -79,7 +80,7 @@ func TestSessionMeasureWarmIsBitIdentical(t *testing.T) {
 		if s.Stats().WarmMeasures != 1 {
 			t.Errorf("%v: measurement did not continue the probe snapshot: %+v", arch, s.Stats())
 		}
-		scratch, err := Measure(apps.MF3L, arch, op, sig, opts, power.DefaultParams())
+		scratch, err := MeasureFromScratch(apps.MF3L, arch, op, sig, opts, power.DefaultParams())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +109,7 @@ func TestSessionMeasureColdFallsBack(t *testing.T) {
 	if s.Stats().WarmMeasures != 0 {
 		t.Errorf("cold measure claimed a warm snapshot: %+v", s.Stats())
 	}
-	scratch, err := Measure(apps.MF3L, power.MC, op, sig, opts, power.DefaultParams())
+	scratch, err := MeasureFromScratch(apps.MF3L, power.MC, op, sig, opts, power.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,49 +147,52 @@ func TestSessionCancellationIsNotCached(t *testing.T) {
 	}
 }
 
-// TestSessionCheckpointRoundTrip pins the cross-invocation contract: a
-// session loaded from a checkpoint answers the same solves bit-identically
-// without running a single probe or verification simulation, and rejects
-// foreign or future-versioned files.
-func TestSessionCheckpointRoundTrip(t *testing.T) {
+// TestSessionStoreRoundTrip pins the cross-process contract of the backing
+// store: a second session over the first one's store answers the same solve
+// bit-identically without a probe or verification simulation and continues
+// the stored probe-boundary snapshot for its measurement; a different record
+// misses; and entries keyed under another results version are never read.
+func TestSessionStoreRoundTrip(t *testing.T) {
 	opts := tinyOpts()
 	ctx := context.Background()
-	path := filepath.Join(t.TempDir(), "session.ckpt")
-
-	s1 := NewSession(nil)
 	sig, err := opts.Record(apps.MF3L)
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := newMemStore()
+	s1 := NewSession(nil)
+	s1.SetStore(st)
 	want, err := s1.SolveOperatingPoint(ctx, apps.MF3L, power.MC, sig, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.SaveCheckpoint(path); err != nil {
-		t.Fatal(err)
-	}
-	if solved, demands := s1.CheckpointSize(); solved != 1 || demands != 1 {
-		t.Errorf("checkpoint holds %d solves / %d demands, want 1/1", solved, demands)
-	}
 
 	s2 := NewSession(nil)
-	if err := s2.LoadCheckpoint(path); err != nil {
-		t.Fatal(err)
-	}
+	s2.SetStore(st)
 	got, err := s2.SolveOperatingPoint(ctx, apps.MF3L, power.MC, sig, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Errorf("checkpointed solve = %+v, want %+v", got, want)
+		t.Errorf("stored solve = %+v, want %+v", got, want)
 	}
-	st := s2.Stats()
-	if st.ProbeRuns != 0 || st.SolveHits != 1 {
-		t.Errorf("checkpointed solve simulated anyway: %+v", st)
+	warm, err := s2.Measure(ctx, apps.MF3L, power.MC, got, sig, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch, err := MeasureFromScratch(apps.MF3L, power.MC, got, sig, opts, power.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(warm, scratch) {
+		t.Errorf("measurement from the stored snapshot diverges from scratch:\nwarm:    %+v\nscratch: %+v", warm, scratch)
+	}
+	if st := s2.Stats(); st.ProbeRuns != 0 || st.Forks != 0 || st.WarmMeasures != 1 || st.StoreHits != 2 {
+		t.Errorf("second session simulated what the store holds: %+v", st)
 	}
 
-	// A different record (different seed) must miss the checkpoint and
-	// solve normally.
+	// A different record (different seed) must miss the store and solve
+	// normally.
 	o2 := opts
 	o2.Seed = 7
 	sig2, err := o2.Record(apps.MF3L)
@@ -199,10 +203,28 @@ func TestSessionCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if s2.Stats().ProbeRuns == 0 {
-		t.Error("differently-seeded solve was served from the checkpoint")
+		t.Error("differently-seeded solve was served from the store")
 	}
 
-	if err := s2.LoadCheckpoint(filepath.Join(t.TempDir(), "missing.ckpt")); err == nil {
-		t.Error("loading a missing checkpoint must fail")
+	// The same entries written by a build of another results version: every
+	// key differs only in its version field, and none may be read.
+	cur, other := fmt.Sprintf("|v%d|", ResultsVersion), fmt.Sprintf("|v%d|", ResultsVersion-1)
+	stale := newMemStore()
+	for k, v := range st.entries {
+		if !strings.Contains(k, cur) {
+			t.Fatalf("store key %q lacks the results-version field %q", k, cur)
+		}
+		stale.entries[strings.Replace(k, cur, other, 1)] = v
+	}
+	s3 := NewSession(nil)
+	s3.SetStore(stale)
+	if got, err := s3.SolveOperatingPoint(ctx, apps.MF3L, power.MC, sig, opts); err != nil || got != want {
+		t.Fatalf("solve over a stale store = %+v, %v; want %+v", got, err, want)
+	}
+	if _, err := s3.Measure(ctx, apps.MF3L, power.MC, want, sig, opts); err != nil {
+		t.Fatal(err)
+	}
+	if st := s3.Stats(); st.StoreHits != 0 || st.ProbeRuns == 0 {
+		t.Errorf("entries of another results version were read: %+v", st)
 	}
 }

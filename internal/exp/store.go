@@ -2,20 +2,38 @@ package exp
 
 import "repro/internal/platform"
 
-// PointStore is the persistence interface extracted from the session's
-// checkpoint layer: a durable, concurrency-safe backing for the three result
-// classes a session memoizes — solved operating points, probe demand
-// estimates, and the probe-boundary warm snapshots that let a measurement
-// continue its solve's verified run. The single-file SaveCheckpoint /
-// LoadCheckpoint pair persists the first two in bulk at end of run; a
-// PointStore persists all three incrementally, as they are produced, so a
-// long-running server (internal/serve/store is the content-addressed
-// implementation) survives process death without losing work.
+// ResultsVersion versions every result a session persists. It is the second
+// field of each store key string ("solve|v3|..."), so an entry written under
+// another version hashes to a different address and is never read: a stale
+// store cannot smuggle old answers into new runs. Bump it whenever the key
+// serialization or any solved or simulated result changes, including the
+// solver schedule, its margins, the VFS table, and any simulator change that
+// moves a measurement or a probe-boundary snapshot.
 //
-// Keys are the session's canonical identity strings (the same strings the
-// checkpoint file uses), pinning everything the result depends on.
-// Implementations must be safe for concurrent use; Get methods return
-// ok=false for absent entries and reserve the error for I/O or corruption.
+// Version history:
+//
+//	1 — initial format (a bulk gob session checkpoint)
+//	2 — keys serialize the sync-architecture descriptor through
+//	    power.Arch.Key() (canonical groups/timeout form) instead of the
+//	    display name, so descriptor-equal customs share entries and old
+//	    name-keyed entries cannot alias them
+//	3 — the gob checkpoint is retired; the version moves from its header
+//	    into the key strings of the content-addressed store
+const ResultsVersion = 3
+
+// PointStore is the session's persistence interface: a durable,
+// concurrency-safe backing for the three result classes a session memoizes —
+// solved operating points, probe demand estimates, and the probe-boundary
+// warm snapshots that let a measurement continue its solve's verified run.
+// The session consults it on memory misses and writes every result through
+// as it is produced, so a process killed mid-grid loses only in-flight work.
+// internal/serve/store is the content-addressed implementation behind both
+// wbsn-bench -store and wbsn-serve -store.
+//
+// Keys are the session's canonical identity strings, pinning everything the
+// result depends on, ResultsVersion included. Implementations must be safe
+// for concurrent use; Get methods return ok=false for absent entries and
+// reserve the error for I/O or corruption.
 //
 // Store failures are deliberately non-fatal to the session: a failed Get is
 // a miss (the result is recomputed — determinism makes that safe), a failed

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"repro/internal/platform"
@@ -24,6 +25,45 @@ func (faultyStore) GetWarm(string) (*platform.Snapshot, bool, error) {
 	return nil, false, errSick
 }
 func (faultyStore) PutWarm(string, *platform.Snapshot) error { return errSick }
+
+// memStore is an in-memory PointStore that sessions standing for successive
+// processes share. Entries are filed under the session's key strings, whose
+// first field already names the result class.
+type memStore struct {
+	mu      sync.Mutex
+	entries map[string]any
+}
+
+func newMemStore() *memStore { return &memStore{entries: map[string]any{}} }
+
+func (m *memStore) get(key string) any {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.entries[key]
+}
+
+func (m *memStore) put(key string, v any) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.entries[key] = v
+	return nil
+}
+
+func (m *memStore) GetSolve(key string) (OperatingPoint, bool, error) {
+	op, ok := m.get(key).(OperatingPoint)
+	return op, ok, nil
+}
+func (m *memStore) PutSolve(key string, op OperatingPoint) error { return m.put(key, op) }
+func (m *memStore) GetDemand(key string) (float64, bool, error) {
+	d, ok := m.get(key).(float64)
+	return d, ok, nil
+}
+func (m *memStore) PutDemand(key string, d float64) error { return m.put(key, d) }
+func (m *memStore) GetWarm(key string) (*platform.Snapshot, bool, error) {
+	snap, ok := m.get(key).(*platform.Snapshot)
+	return snap, ok, nil
+}
+func (m *memStore) PutWarm(key string, snap *platform.Snapshot) error { return m.put(key, snap) }
 
 func TestStoreFailuresAreMissesNotFatal(t *testing.T) {
 	s := NewSession(power.DefaultParams())

@@ -55,7 +55,7 @@ type Sweep struct {
 	// Session is the solve/measure engine every point runs through. The
 	// whole worker pool shares it, so built images, probe runs, solved
 	// points and probe-boundary snapshots are amortized across the grid —
-	// and, via Session checkpoints, across process invocations. NewSweep
+	// and, via the session's PointStore, across process invocations. NewSweep
 	// installs one; sharing a session across sweeps is allowed and safe
 	// (wbsn-bench shares one across its three experiments).
 	Session *Session

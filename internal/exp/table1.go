@@ -1,11 +1,8 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"strings"
-
-	"repro/internal/power"
 )
 
 // TableIRow is one benchmark's column pair of the paper's Table I.
@@ -13,14 +10,6 @@ type TableIRow struct {
 	App       string
 	SC, MC    *Measurement
 	SavingPct float64
-}
-
-// TableI reproduces the paper's Table I: per benchmark, the single-core and
-// multi-core executions at their solved operating points. It runs the grid
-// through the parallel sweep engine on all cores; results are deterministic
-// regardless of the worker count (see Sweep).
-func TableI(opts Options, params *power.Params) ([]TableIRow, error) {
-	return NewSweep(0, params).TableI(context.Background(), opts)
 }
 
 // FormatTableI renders the rows in the paper's layout.

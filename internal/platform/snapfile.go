@@ -18,8 +18,8 @@ import (
 //	    shape of both
 const SnapshotVersion = 2
 
-// snapshotMagic guards against feeding an arbitrary gob stream (or an exp
-// session checkpoint) into the platform decoder.
+// snapshotMagic guards against feeding an arbitrary gob stream into the
+// platform decoder.
 const snapshotMagic = "wbsn-platform-snapshot"
 
 // SnapshotFile couples a snapshot with caller-owned metadata for on-disk

@@ -81,7 +81,7 @@ func TestBundledScenariosSolve(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			op, err := exp.SolveOperatingPoint(app, arch, sig, opts)
+			op, err := exp.NewSession(nil).SolveOperatingPoint(context.Background(), app, arch, sig, opts)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", app, arch, err)
 			}

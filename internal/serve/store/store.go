@@ -1,11 +1,10 @@
-// Package store implements the serving layer's content-addressed result
-// store: the persistent form of everything an exp.Session memoizes, keyed
-// by the SHA-256 of the session's canonical identity strings. It replaces
-// the single bulk -checkpoint file with one small file per result, written
-// atomically as results are produced, so a server killed mid-grid loses
-// only in-flight work — and, unlike the checkpoint file, it also persists
-// the probe-boundary warm snapshots, so measurements warm-start across
-// process death.
+// Package store implements the content-addressed result store behind
+// wbsn-serve -store and wbsn-bench -store: the persistent form of
+// everything an exp.Session memoizes, keyed by the SHA-256 of the session's
+// canonical identity strings. Each result is one small file, written
+// atomically as it is produced, so a process killed mid-grid loses only
+// in-flight work. The probe-boundary warm snapshots persist too, so
+// measurements warm-start across process death.
 //
 // # Layout
 //
@@ -19,9 +18,11 @@
 //
 // Every entry records the full canonical key it was stored under and reads
 // verify it, so a hash collision or a misplaced file surfaces as a
-// corruption error instead of a silently wrong result. JSON stores float64
-// via Go's shortest round-trip formatting, so operating points and demands
-// survive the trip bit-exactly.
+// corruption error instead of a silently wrong result. The keys carry
+// exp.ResultsVersion, so entries written under another results version sit
+// at other addresses and are never read. JSON stores float64 via Go's
+// shortest round-trip formatting, so operating points and demands survive
+// the trip bit-exactly.
 //
 // All methods are safe for concurrent use; writes go through a temp file
 // and rename, so readers (including concurrent processes) never observe a
@@ -29,6 +30,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -184,21 +186,12 @@ func (s *Store) GetWarm(key string) (*platform.Snapshot, bool, error) {
 
 // PutWarm persists a probe-boundary warm snapshot under key.
 func (s *Store) PutWarm(key string, snap *platform.Snapshot) error {
-	path := s.path("warm", key, ".snap")
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
+	var buf bytes.Buffer
+	if err := platform.WriteSnapshotFile(&buf, &platform.SnapshotFile{Meta: map[string]string{"key": key}, Snap: snap}); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	defer os.Remove(tmp.Name())
-	if err := platform.WriteSnapshotFile(tmp, &platform.SnapshotFile{Meta: map[string]string{"key": key}, Snap: snap}); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("store: %w", err)
+	if err := writeAtomic(s.path("warm", key, ".snap"), buf.Bytes()); err != nil {
+		return err
 	}
 	s.puts.Add(1)
 	return nil

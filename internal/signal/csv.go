@@ -5,12 +5,11 @@ import (
 	"io"
 )
 
-// WriteCSV dumps a record as CSV for inspection (cmd/wbsn-signal and the
-// legacy cmd/wbsn-ecg alias). Rows are indexed on the base-rate grid; a
-// decimated channel contributes a value only on the base indices it
-// actually samples, leaving its cell empty in between — the blank cells
-// make the per-channel sampling grids visible in the dump. Ground-truth
-// annotations precede the data as comments.
+// WriteCSV dumps a record as CSV for inspection (cmd/wbsn-signal). Rows are
+// indexed on the base-rate grid; a decimated channel contributes a value
+// only on the base indices it actually samples, leaving its cell empty in
+// between — the blank cells make the per-channel sampling grids visible in
+// the dump. Ground-truth annotations precede the data as comments.
 func WriteCSV(w io.Writer, src *Source) error {
 	cfg := src.Cfg
 	if _, err := fmt.Fprintf(w, "# synthetic %s: base %.0f Hz, %d pathological events (seed %d)\n",
