@@ -3,9 +3,9 @@
 // operating-point grid of declarative scenario files (EMG, PPG, multi-rate
 // mixes) through the same parallel sweep engine. All experiments share one
 // Session: -store backs it with a content-addressed result store that every
-// solved operating point, probe demand and warm snapshot is written through
-// to as it is produced (re-runs skip the operating-point search, warm-start
-// their measurements and print byte-identical results), and -format json
+// solved operating point, probe demand and measurement is written through
+// to as it is produced (re-runs simulate nothing and print byte-identical
+// results), and -format json
 // emits the operating-point tables as one JSON object per grid point for
 // tracking bench trajectories across commits.
 package main
@@ -161,7 +161,7 @@ func main() {
 	jobs := flag.Int("jobs", runtime.NumCPU(), "parallel sweep workers (results are identical for any value; 1 = serial)")
 	quiet := flag.Bool("quiet", false, "suppress per-point progress on stderr")
 	format := flag.String("format", "table", "output format: table (rendered) or json (one object per grid point)")
-	storeDir := flag.String("store", "", "content-addressed result store directory: solved points, probe demands and warm snapshots are read from it and written through as they are produced; re-runs reuse them (bit-identical results)")
+	storeDir := flag.String("store", "", "content-addressed result store directory: solved points, probe demands and measurements are read from it and written through as they are produced; re-runs reuse them (bit-identical results)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	timelineOut := flag.String("timeline-out", "", "write the simulated-event timeline as Chrome trace-event JSON (load in Perfetto); observation only, results are bit-identical")
@@ -228,12 +228,12 @@ func main() {
 		if err != nil {
 			b.fail("store", err)
 		}
-		solves, demands, warms, err := st.Len()
+		solves, demands, measures, err := st.Len()
 		if err != nil {
 			b.fail("store", err)
 		}
-		fmt.Fprintf(os.Stderr, "store: %s (%d solved points, %d probe demands, %d warm snapshots)\n",
-			st.Dir(), solves, demands, warms)
+		fmt.Fprintf(os.Stderr, "store: %s (%d solved points, %d probe demands, %d measurements)\n",
+			st.Dir(), solves, demands, measures)
 		b.sweep.Session.SetStore(st)
 	}
 

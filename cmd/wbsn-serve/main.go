@@ -2,11 +2,11 @@
 // long-running form of wbsn-sim/wbsn-bench, exposing solve, measure and
 // sweep as HTTP/JSON endpoints over one shared session. Identical
 // concurrent requests coalesce onto one simulation, results persist in a
-// content-addressed store (-store) across restarts — including the
-// probe-boundary warm snapshots that let measurements resume where the
-// solve's verification probe ended — and every response body is
-// byte-identical to what a cold single-threaded run of the same request
-// would print. See docs/SERVE.md for the API and the determinism contract.
+// content-addressed store (-store) across restarts — solved points, probe
+// demands and measurements, so a restarted server answers a measured cell
+// without simulating — and every response body is byte-identical to what
+// a cold single-threaded run of the same request would print. See
+// docs/SERVE.md for the API and the determinism contract.
 package main
 
 import (
@@ -23,7 +23,7 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8177", "listen address (host:port; port 0 picks a free port)")
 	scenarioDir := flag.String("scenario-dir", "scenarios", "directory scanned for *.json scenario files servable by name (empty: none)")
-	storeDir := flag.String("store", "", "content-addressed result store directory; solved points, probe demands and warm snapshots persist here across restarts (empty: in-memory only)")
+	storeDir := flag.String("store", "", "content-addressed result store directory; solved points, probe demands and measurements persist here across restarts (empty: in-memory only)")
 	templateCap := flag.Int("template-cap", 64, "max pristine platform templates kept in memory (LRU; 0 = unbounded)")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "parallel workers per sweep request (results are identical for any value)")
 	timelineCap := flag.Int("timeline-cap", 0, "event-timeline ring capacity shared by all simulations (0 = no timeline; observation only)")
@@ -61,12 +61,12 @@ func main() {
 	}
 
 	if st := engine.Store(); st != nil {
-		solves, demands, warms, err := st.Len()
+		solves, demands, measures, err := st.Len()
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "store: %s (%d solved points, %d probe demands, %d warm snapshots)\n",
-			st.Dir(), solves, demands, warms)
+		fmt.Fprintf(os.Stderr, "store: %s (%d solved points, %d probe demands, %d measurements)\n",
+			st.Dir(), solves, demands, measures)
 	}
 	fmt.Fprintf(os.Stderr, "scenarios: %v\n", engine.Scenarios())
 

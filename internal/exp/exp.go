@@ -20,12 +20,15 @@
 //     the probe boundary.
 //  4. Measure: continues the probe-boundary snapshot to Options.Duration
 //     (bit-identical to a from-scratch run) and computes the power report.
+//     The simulated outcome is memoized, so measuring the cell again
+//     (Table I's cells reappear in Figure 6) simulates nothing; each call
+//     computes its report under the session's current calibration.
 //  5. Persist: with a PointStore installed (Session.SetStore), steps 2–4
-//     write their demand estimate, solved point and probe-boundary
-//     snapshot through as they are produced. A later process over the same
-//     store recalls them: its solve runs no simulation, and its measurement
-//     continues the stored snapshot where the solve kept one. Keys carry
-//     ResultsVersion, so entries from another version are never read.
+//     write their demand estimate, solved point and measurement outcome
+//     through as they are produced. A later process over the same store
+//     recalls them: neither its solve nor its measurement runs a
+//     simulation. Keys carry ResultsVersion, so entries from another
+//     version are never read.
 //
 // Results are bit-identical to solving each cell from scratch
 // (SolveOperatingPointFromScratch is retained as the reference, and the
@@ -322,11 +325,49 @@ type Measurement struct {
 	CodeOverheadPct float64
 }
 
+// MeasureOutcome is what a measurement simulated: everything its power
+// report depends on except the calibration. The session memoizes and
+// persists outcomes instead of reports, and derives each caller's
+// Measurement from one under the calibration current at the call, so
+// calibration stays out of every key.
+type MeasureOutcome struct {
+	Counters      power.Counters
+	ActiveIMBanks int
+	ActiveDMBanks int
+}
+
+// measurement assembles the Measurement of app/arch at op from the
+// outcome, computing the report under params exactly as Platform.PowerReport
+// does on the simulated platform.
+func (o MeasureOutcome) measurement(v *apps.Variant, app string, arch power.Arch, op OperatingPoint, params *power.Params) (*Measurement, error) {
+	cfg := power.SystemConfig{
+		Arch:          v.Arch,
+		NumCores:      v.Cores,
+		ActiveIMBanks: o.ActiveIMBanks,
+		ActiveDMBanks: o.ActiveDMBanks,
+		VoltageV:      op.VoltageV,
+		FreqHz:        op.FreqHz,
+	}
+	rep, err := power.Compute(cfg, &o.Counters, params)
+	if err != nil {
+		return nil, err
+	}
+	return &Measurement{
+		App: app, Arch: arch, Op: op,
+		Cores:           v.Cores,
+		ActiveIMBanks:   o.ActiveIMBanks,
+		ActiveDMBanks:   o.ActiveDMBanks,
+		Counters:        o.Counters,
+		Report:          rep,
+		CodeOverheadPct: v.Res.Image.CodeOverheadPct(),
+	}, nil
+}
+
 // MeasureFromScratch runs app/arch at the given operating point for
 // opts.Duration and computes the power report, building everything from
 // scratch. It is the reference Session.Measure is pinned against; callers
-// go through Session.Measure, which continues the solve's verified probe
-// run (bit-identical, less simulation).
+// go through Session.Measure, which memoizes the outcome and continues the
+// solve's verified probe run (bit-identical, less simulation).
 func MeasureFromScratch(app string, arch power.Arch, op OperatingPoint, sig *signal.Source, opts Options, params *power.Params) (*Measurement, error) {
 	v, err := apps.Build(app, arch)
 	if err != nil {
@@ -346,11 +387,21 @@ func MeasureFromScratch(app string, arch power.Arch, op OperatingPoint, sig *sig
 	return finishMeasurement(v, p, app, arch, op, params)
 }
 
-// finishMeasurement applies the real-time acceptance checks and assembles
-// the Measurement; shared by MeasureFromScratch and Session.Measure.
-func finishMeasurement(v *apps.Variant, p *platform.Platform, app string, arch power.Arch, op OperatingPoint, params *power.Params) (*Measurement, error) {
+// measuredRealTime applies the real-time acceptance checks to a finished
+// measurement run; shared by MeasureFromScratch and Session.Measure, so both
+// word a missed deadline identically.
+func measuredRealTime(p *platform.Platform, app string, arch power.Arch, op OperatingPoint) error {
 	if err := checkRealTime(p); err != nil {
-		return nil, fmt.Errorf("exp: %s/%v at %.2f MHz: %w", app, arch, op.FreqHz/1e6, err)
+		return fmt.Errorf("exp: %s/%v at %.2f MHz: %w", app, arch, op.FreqHz/1e6, err)
+	}
+	return nil
+}
+
+// finishMeasurement applies the real-time acceptance checks and assembles
+// the reference Measurement straight from the simulated platform.
+func finishMeasurement(v *apps.Variant, p *platform.Platform, app string, arch power.Arch, op OperatingPoint, params *power.Params) (*Measurement, error) {
+	if err := measuredRealTime(p, app, arch, op); err != nil {
+		return nil, err
 	}
 	rep, err := p.PowerReport(params)
 	if err != nil {

@@ -20,9 +20,10 @@ import (
 // templates (forked per candidate frequency instead of re-assembling,
 // re-linking and re-loading the program), probe demand estimates (MC and
 // MC-nosync dimension against the same proposed-system probe, so one
-// simulation serves both), solved operating points, and the probe-boundary
-// platform snapshots that let a measurement continue the verified probe run
-// instead of re-simulating its warm-up window.
+// simulation serves both), solved operating points, measurement outcomes
+// (a grid that measures one cell twice simulates it once), and the
+// probe-boundary platform snapshots that let a first measurement continue
+// the verified probe run instead of re-simulating its warm-up window.
 //
 // Results are bit-identical to solving and measuring each point from
 // scratch: forking a pristine template equals building a fresh platform,
@@ -34,8 +35,8 @@ import (
 //
 // A Session is safe for concurrent use; the parallel sweep engine threads
 // one through its whole worker pool. Solved points, demand estimates and
-// warm snapshots outlive the process only through a PointStore installed
-// with SetStore.
+// measurement outcomes outlive the process only through a PointStore
+// installed with SetStore.
 type Session struct {
 	params *power.Params
 	cache  *signal.Cache
@@ -45,6 +46,7 @@ type Session struct {
 	templates *lru.Cache[templateKey, *templateEntry]
 	demands   map[string]*demandEntry
 	solved    map[string]*solveEntry
+	measured  map[string]*measureEntry
 	warm      map[warmKey]*platform.Snapshot
 	store     PointStore
 
@@ -64,6 +66,9 @@ type SessionStats struct {
 	DemandHits uint64
 	// SolveHits is the number of solves served from the solved-point cache.
 	SolveHits uint64
+	// MeasureHits is the number of measurements served from the in-memory
+	// measurement memo.
+	MeasureHits uint64
 	// EarlyAborts is the number of candidate verifications cut short by a
 	// real-time violation before their full probe window.
 	EarlyAborts uint64
@@ -116,6 +121,7 @@ func (st SessionStats) Publish(reg *obs.Registry) {
 	reg.Set("session.probe_runs", st.ProbeRuns)
 	reg.Set("session.demand_hits", st.DemandHits)
 	reg.Set("session.solve_hits", st.SolveHits)
+	reg.Set("session.measure_hits", st.MeasureHits)
 	reg.Set("session.early_aborts", st.EarlyAborts)
 	reg.Set("session.warm_measures", st.WarmMeasures)
 	reg.Set("session.ff_leaps", st.FFLeaps)
@@ -145,6 +151,7 @@ func NewSession(params *power.Params) *Session {
 		templates: lru.New[templateKey, *templateEntry](0, nil),
 		demands:   map[string]*demandEntry{},
 		solved:    map[string]*solveEntry{},
+		measured:  map[string]*measureEntry{},
 		warm:      map[warmKey]*platform.Snapshot{},
 	}
 }
@@ -195,9 +202,10 @@ func (s *Session) PublishMetrics(reg *obs.Registry) {
 	reg.Set("session.template.evictions", te)
 }
 
-// SetParams replaces the power calibration used by subsequent measurements
-// (solved operating points are frequency/voltage searches and do not depend
-// on it). The sweep engine calls this so a caller-assigned Sweep.Params
+// SetParams replaces the power calibration used by subsequent measurements,
+// memoized and stored ones included: their reports are recomputed from the
+// simulated outcome (solved operating points are frequency/voltage searches
+// and do not depend on it). The sweep engine calls this so a caller-assigned Sweep.Params
 // keeps calibrating reports, as it did before sessions existed.
 func (s *Session) SetParams(params *power.Params) {
 	if params == nil {
@@ -312,6 +320,12 @@ type solveEntry struct {
 	err  error
 }
 
+type measureEntry struct {
+	once sync.Once
+	out  MeasureOutcome
+	err  error
+}
+
 type warmKey struct {
 	VK            variantKey
 	Sig           sourceKey
@@ -319,14 +333,6 @@ type warmKey struct {
 	VoltageV      float64
 	ProbeDuration float64
 	Exact         bool
-}
-
-// warmKeyString serializes the warm-snapshot identity for the backing
-// store, in the same style as the solve and demand key strings: everything
-// the probe-boundary platform state depends on.
-func warmKeyString(k warmKey) string {
-	return fmt.Sprintf("warm|v%d|%s|%s|sig=%+v|freq=%v|volt=%v|dur=%v|exact=%v",
-		ResultsVersion, k.VK.App, k.VK.Arch.Key(), k.Sig, k.FreqHz, k.VoltageV, k.ProbeDuration, k.Exact)
 }
 
 // variant returns the built (assembled, linked) application image for
@@ -663,11 +669,6 @@ func (s *Session) solve(ctx context.Context, app string, arch power.Arch, sig, p
 			s.mu.Lock()
 			s.warm[wk] = snap
 			s.mu.Unlock()
-			// Write the verified platform state through to the backing
-			// store: a future process's Measure at this point warm-starts
-			// instead of re-simulating the probe window (bit-identical, as
-			// continuation equals never having stopped).
-			s.storePutWarm(warmKeyString(wk), snap)
 		}
 		if arch.BusyWait {
 			// Divergence-induced deadline misses are bursty: a point that
@@ -728,20 +729,73 @@ func (s *Session) verify(pp *platform.Platform, seconds float64) (bool, error) {
 	return true, nil
 }
 
+// measureKeyString serializes the measurement identity: everything the
+// simulated outcome depends on. The power calibration is not part of it;
+// each call computes its report from the outcome under the session's
+// current calibration.
+func measureKeyString(app string, arch power.Arch, sig sourceKey, op OperatingPoint, opts Options) string {
+	return fmt.Sprintf("measure|v%d|%s|%s|sig=%+v|freq=%v|volt=%v|dur=%v|probe=%v|exact=%v",
+		ResultsVersion, app, arch.Key(), sig, op.FreqHz, op.VoltageV, opts.Duration, opts.ProbeDuration, opts.Exact)
+}
+
 // Measure runs app/arch at the given operating point for opts.Duration and
-// computes the power report, exactly as MeasureFromScratch does. When
-// the session holds the probe-boundary snapshot of this exact configuration
-// (the solve's verified candidate), the measurement continues it — the
-// warm-up window is simulated once per configuration, and the result is
-// bit-identical to a from-scratch run (continuation equivalence is pinned by
-// internal/platform's golden tests).
+// computes the power report, exactly as MeasureFromScratch does, but
+// amortized through the session: the simulated outcome is memoized under
+// the measurement's full identity (concurrent identical measurements share
+// one simulation, and a repeat simulates nothing) and written through to
+// the backing store, so a later process answers it without simulating.
+// Each call computes its own report from the outcome under the session's
+// current calibration. When the session holds the probe-boundary snapshot
+// of this exact configuration (the solve's verified candidate), the first
+// measurement continues it — bit-identical to a from-scratch run
+// (continuation equivalence is pinned by internal/platform's golden tests).
 func (s *Session) Measure(ctx context.Context, app string, arch power.Arch, op OperatingPoint, sig *signal.Source, opts Options) (*Measurement, error) {
 	v, err := s.variant(app, arch)
 	if err != nil {
 		return nil, err
 	}
+	key := measureKeyString(app, arch, keyOf(sig), op, opts)
+	s.mu.Lock()
+	e, ok := s.measured[key]
+	if !ok {
+		e = &measureEntry{}
+		s.measured[key] = e
+	}
+	s.mu.Unlock()
+	ran := false
+	e.once.Do(func() {
+		ran = true
+		if out, ok := s.storeGetMeasure(key); ok {
+			e.out = out
+			return
+		}
+		e.out, e.err = s.measure(ctx, v, app, arch, op, sig, opts)
+		if e.err == nil {
+			s.storePutMeasure(key, e.out)
+		}
+	})
+	if !ran {
+		s.count(func(st *SessionStats) { st.MeasureHits++ })
+	}
+	if transient(e.err) {
+		s.mu.Lock()
+		if s.measured[key] == e {
+			delete(s.measured, key)
+		}
+		s.mu.Unlock()
+	}
+	if e.err != nil {
+		return nil, e.err
+	}
+	return e.out.measurement(v, app, arch, op, s.measureParams())
+}
+
+// measure simulates one measurement and returns its outcome, continuing the
+// probe-boundary snapshot when the session holds one for this
+// configuration and forking the pristine template otherwise.
+func (s *Session) measure(ctx context.Context, v *apps.Variant, app string, arch power.Arch, op OperatingPoint, sig *signal.Source, opts Options) (MeasureOutcome, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return MeasureOutcome{}, err
 	}
 	wk := warmKey{
 		VK:            variantKey{App: app, Arch: arch},
@@ -754,22 +808,16 @@ func (s *Session) Measure(ctx context.Context, app string, arch power.Arch, op O
 	s.mu.Lock()
 	snap := s.warm[wk]
 	s.mu.Unlock()
-	if snap == nil {
-		// The probe-boundary snapshot may have been produced by an earlier
-		// process: the backing store persists warm state across restarts,
-		// so a recalled solve still warm-starts its measurement.
-		snap = s.storeGetWarm(warmKeyString(wk))
-	}
 
 	var p *platform.Platform
 	if snap != nil && opts.Duration >= opts.ProbeDuration {
 		pp, err := v.NewPlatform(sig, op.FreqHz, op.VoltageV)
 		if err != nil {
-			return nil, err
+			return MeasureOutcome{}, err
 		}
 		pp.SetExact(opts.Exact)
 		if err := pp.Restore(snap); err != nil {
-			return nil, err
+			return MeasureOutcome{}, err
 		}
 		if opts.Obs != nil {
 			pp.SetObserver(opts.Obs)
@@ -785,7 +833,7 @@ func (s *Session) Measure(ctx context.Context, app string, arch power.Arch, op O
 				err := pp.Run(total - pp.Cycle())
 				s.recordFF(pp, m)
 				if err != nil {
-					return nil, fmt.Errorf("exp: %s/%v measure: %w", app, arch, err)
+					return MeasureOutcome{}, fmt.Errorf("exp: %s/%v measure: %w", app, arch, err)
 				}
 			}
 			s.count(func(st *SessionStats) { st.WarmMeasures++ })
@@ -793,10 +841,10 @@ func (s *Session) Measure(ctx context.Context, app string, arch power.Arch, op O
 				opts.Obs.Phase(fmt.Sprintf("measure %s/%v (warm)", app, arch), warmStart, pp.Cycle()-warmStart, 0)
 			}
 			p = pp
-			// A grid measures each solved point once; drop the snapshot
+			// The outcome is memoized from here on; drop the snapshot
 			// (megabytes per configuration) now that it served its purpose.
-			// A repeat measurement falls back to the cold path, which is
-			// bit-identical.
+			// A measurement of another duration falls back to the cold
+			// path, which is bit-identical.
 			s.mu.Lock()
 			if s.warm[wk] == snap {
 				delete(s.warm, wk)
@@ -807,11 +855,11 @@ func (s *Session) Measure(ctx context.Context, app string, arch power.Arch, op O
 	if p == nil {
 		tmpl, err := s.template(app, arch, sig)
 		if err != nil {
-			return nil, err
+			return MeasureOutcome{}, err
 		}
 		p, err = s.fork(tmpl, op.FreqHz, op.VoltageV, opts.Exact)
 		if err != nil {
-			return nil, err
+			return MeasureOutcome{}, err
 		}
 		if opts.Obs != nil {
 			p.SetObserver(opts.Obs)
@@ -820,11 +868,14 @@ func (s *Session) Measure(ctx context.Context, app string, arch power.Arch, op O
 		err = p.RunSeconds(opts.Duration)
 		s.recordFF(p, m)
 		if err != nil {
-			return nil, fmt.Errorf("exp: %s/%v measure: %w", app, arch, err)
+			return MeasureOutcome{}, fmt.Errorf("exp: %s/%v measure: %w", app, arch, err)
 		}
 		if opts.Obs != nil {
 			opts.Obs.Phase(fmt.Sprintf("measure %s/%v", app, arch), 0, p.Cycle(), 0)
 		}
 	}
-	return finishMeasurement(v, p, app, arch, op, s.measureParams())
+	if err := measuredRealTime(p, app, arch, op); err != nil {
+		return MeasureOutcome{}, err
+	}
+	return MeasureOutcome{Counters: *p.Counters(), ActiveIMBanks: p.ActiveIMBanks(), ActiveDMBanks: p.ActiveDMBanks()}, nil
 }

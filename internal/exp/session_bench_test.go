@@ -24,10 +24,9 @@ import (
 //     template, failing candidates abort at their first real-time
 //     violation, builds and probes are shared.
 //   - stored: each fresh Session is backed by the store a previous
-//     session filled, the wbsn-bench -store re-run workflow — solves are
-//     answered from the store, and each measurement continues the stored
-//     probe-boundary snapshot where the solve kept one (MC-nosync's bumped
-//     operating point keeps none, so this column still measures in full).
+//     session filled, the wbsn-bench -store re-run workflow — solves and
+//     measurements are both answered from the store, so the column
+//     simulates nothing.
 func BenchmarkSolveStore(b *testing.B) {
 	opts := Options{Duration: 2, ProbeDuration: 1.5, PathoFrac: 0.2, Seed: 1}
 	params := power.DefaultParams()

@@ -92,7 +92,8 @@ func TestSessionMeasureWarmIsBitIdentical(t *testing.T) {
 
 // TestSessionMeasureColdFallsBack: a measurement at an operating point the
 // session never verified (or shorter than the probe window) must fall back
-// to a full run and still match the from-scratch reference.
+// to a full run and still match the from-scratch reference; measuring it
+// again is a memo hit that simulates nothing and returns the same result.
 func TestSessionMeasureColdFallsBack(t *testing.T) {
 	opts := tinyOpts()
 	ctx := context.Background()
@@ -115,6 +116,68 @@ func TestSessionMeasureColdFallsBack(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cold, scratch) {
 		t.Error("cold session measurement diverges from the from-scratch reference")
+	}
+
+	forks := s.Stats().Forks
+	again, err := s.Measure(ctx, apps.MF3L, power.MC, op, sig, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Forks != forks || st.MeasureHits != 1 {
+		t.Errorf("repeat measure simulated instead of hitting the memo: forks %d -> %d, measure hits %d", forks, st.Forks, st.MeasureHits)
+	}
+	if !reflect.DeepEqual(again, scratch) {
+		t.Errorf("memoized measurement diverges from the from-scratch reference:\nmemo:    %+v\nscratch: %+v", again, scratch)
+	}
+	if again == cold || again.Report == cold.Report {
+		t.Error("a memo hit returned the first caller's Measurement instead of its own")
+	}
+}
+
+// TestSessionMeasureRecalibrates: the memo and the store hold simulated
+// outcomes, not reports, so a session with another power calibration over
+// the same store simulates nothing and still reports exactly what a
+// from-scratch measurement under its own calibration does.
+func TestSessionMeasureRecalibrates(t *testing.T) {
+	opts := tinyOpts()
+	ctx := context.Background()
+	sig, err := opts.Record(apps.MF3L)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := OperatingPoint{FreqHz: 2.6e6, VoltageV: 0.6}
+	st := newMemStore()
+	s1 := NewSession(nil)
+	s1.SetStore(st)
+	if _, err := s1.Measure(ctx, apps.MF3L, power.MC, op, sig, opts); err != nil {
+		t.Fatal(err)
+	}
+
+	params := power.DefaultParams()
+	params.CoreActivePJ *= 2
+	params.DMBankLeakUW *= 3
+	s2 := NewSession(params)
+	s2.SetStore(st)
+	got, err := s2.Measure(ctx, apps.MF3L, power.MC, op, sig, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s2.Stats(); st.Forks != 0 || st.StoreHits != 1 {
+		t.Errorf("recalibrated session simulated what the store holds: %+v", st)
+	}
+	want, err := MeasureFromScratch(apps.MF3L, power.MC, op, sig, opts, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("stored outcome under new calibration diverges from scratch:\nstored:  %+v\nscratch: %+v", got.Report, want.Report)
+	}
+	def, err := MeasureFromScratch(apps.MF3L, power.MC, op, sig, opts, power.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Report.TotalUW == def.Report.TotalUW {
+		t.Error("the changed calibration did not change the report; the test proves nothing")
 	}
 }
 
@@ -145,13 +208,33 @@ func TestSessionCancellationIsNotCached(t *testing.T) {
 	if op != want {
 		t.Errorf("post-cancellation solve = %+v, want %+v", op, want)
 	}
+
+	// The same rule for measurements: the canceled measurement must not be
+	// memoized, so the next one simulates and matches the reference.
+	if _, err := s.Measure(canceled, apps.MF3L, power.MC, op, sig, opts); err == nil {
+		t.Fatal("measure under a canceled context must fail")
+	}
+	m, err := s.Measure(context.Background(), apps.MF3L, power.MC, op, sig, opts)
+	if err != nil {
+		t.Fatalf("session cached the canceled measurement: %v", err)
+	}
+	if hits := s.Stats().MeasureHits; hits != 0 {
+		t.Errorf("measurement after the cancellation counted %d memo hits, want 0", hits)
+	}
+	scratch, err := MeasureFromScratch(apps.MF3L, power.MC, op, sig, opts, power.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(m, scratch) {
+		t.Error("post-cancellation measurement diverges from the from-scratch reference")
+	}
 }
 
 // TestSessionStoreRoundTrip pins the cross-process contract of the backing
 // store: a second session over the first one's store answers the same solve
-// bit-identically without a probe or verification simulation and continues
-// the stored probe-boundary snapshot for its measurement; a different record
-// misses; and entries keyed under another results version are never read.
+// and measurement bit-identically without simulating anything; a different
+// record misses; and entries keyed under another results version are never
+// read.
 func TestSessionStoreRoundTrip(t *testing.T) {
 	opts := tinyOpts()
 	ctx := context.Background()
@@ -166,6 +249,9 @@ func TestSessionStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := s1.Measure(ctx, apps.MF3L, power.MC, want, sig, opts); err != nil {
+		t.Fatal(err)
+	}
 
 	s2 := NewSession(nil)
 	s2.SetStore(st)
@@ -176,7 +262,7 @@ func TestSessionStoreRoundTrip(t *testing.T) {
 	if got != want {
 		t.Errorf("stored solve = %+v, want %+v", got, want)
 	}
-	warm, err := s2.Measure(ctx, apps.MF3L, power.MC, got, sig, opts)
+	stored, err := s2.Measure(ctx, apps.MF3L, power.MC, got, sig, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,10 +270,10 @@ func TestSessionStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(warm, scratch) {
-		t.Errorf("measurement from the stored snapshot diverges from scratch:\nwarm:    %+v\nscratch: %+v", warm, scratch)
+	if !reflect.DeepEqual(stored, scratch) {
+		t.Errorf("measurement from the store diverges from scratch:\nstored:  %+v\nscratch: %+v", stored, scratch)
 	}
-	if st := s2.Stats(); st.ProbeRuns != 0 || st.Forks != 0 || st.WarmMeasures != 1 || st.StoreHits != 2 {
+	if st := s2.Stats(); st.ProbeRuns != 0 || st.Forks != 0 || st.WarmMeasures != 0 || st.StoreHits != 2 {
 		t.Errorf("second session simulated what the store holds: %+v", st)
 	}
 

@@ -1,14 +1,12 @@
 package exp
 
-import "repro/internal/platform"
-
 // ResultsVersion versions every result a session persists. It is the second
 // field of each store key string ("solve|v3|..."), so an entry written under
 // another version hashes to a different address and is never read: a stale
 // store cannot smuggle old answers into new runs. Bump it whenever the key
 // serialization or any solved or simulated result changes, including the
 // solver schedule, its margins, the VFS table, and any simulator change that
-// moves a measurement or a probe-boundary snapshot.
+// moves a measurement.
 //
 // Version history:
 //
@@ -23,10 +21,10 @@ const ResultsVersion = 3
 
 // PointStore is the session's persistence interface: a durable,
 // concurrency-safe backing for the three result classes a session memoizes —
-// solved operating points, probe demand estimates, and the probe-boundary
-// warm snapshots that let a measurement continue its solve's verified run.
-// The session consults it on memory misses and writes every result through
-// as it is produced, so a process killed mid-grid loses only in-flight work.
+// solved operating points, probe demand estimates, and measurement outcomes
+// (the simulated counters a power report is computed from). The session
+// consults it on memory misses and writes every result through as it is
+// produced, so a process killed mid-grid loses only in-flight work.
 // internal/serve/store is the content-addressed implementation behind both
 // wbsn-bench -store and wbsn-serve -store.
 //
@@ -44,8 +42,8 @@ type PointStore interface {
 	PutSolve(key string, op OperatingPoint) error
 	GetDemand(key string) (demand float64, ok bool, err error)
 	PutDemand(key string, demand float64) error
-	GetWarm(key string) (*platform.Snapshot, bool, error)
-	PutWarm(key string, snap *platform.Snapshot) error
+	GetMeasure(key string) (MeasureOutcome, bool, error)
+	PutMeasure(key string, out MeasureOutcome) error
 }
 
 // SetStore installs the backing store consulted on memory misses and
@@ -63,89 +61,59 @@ func (s *Session) pointStore() PointStore {
 	return s.store
 }
 
-// storeGetSolve consults the backing store for a solved point. Errors count
-// as misses (and into StoreErrs): determinism makes recomputing safe.
-func (s *Session) storeGetSolve(key string) (OperatingPoint, bool) {
+// storeGet consults the backing store through get. Errors count as misses
+// (and into StoreErrs): determinism makes recomputing safe.
+func storeGet[T any](s *Session, get func(PointStore) (T, bool, error)) (T, bool) {
+	var zero T
 	st := s.pointStore()
 	if st == nil {
-		return OperatingPoint{}, false
+		return zero, false
 	}
-	op, ok, err := st.GetSolve(key)
+	v, ok, err := get(st)
 	if err != nil {
 		s.count(func(x *SessionStats) { x.StoreErrs++ })
-		return OperatingPoint{}, false
+		return zero, false
 	}
 	if ok {
 		s.count(func(x *SessionStats) { x.StoreHits++ })
 	}
-	return op, ok
+	return v, ok
+}
+
+// storePut writes one result through to the backing store; a failure only
+// loses amortization and counts into StoreErrs.
+func (s *Session) storePut(put func(PointStore) error) {
+	st := s.pointStore()
+	if st == nil {
+		return
+	}
+	if err := put(st); err != nil {
+		s.count(func(x *SessionStats) { x.StoreErrs++ })
+		return
+	}
+	s.count(func(x *SessionStats) { x.StorePuts++ })
+}
+
+func (s *Session) storeGetSolve(key string) (OperatingPoint, bool) {
+	return storeGet(s, func(st PointStore) (OperatingPoint, bool, error) { return st.GetSolve(key) })
 }
 
 func (s *Session) storePutSolve(key string, op OperatingPoint) {
-	st := s.pointStore()
-	if st == nil {
-		return
-	}
-	if err := st.PutSolve(key, op); err != nil {
-		s.count(func(x *SessionStats) { x.StoreErrs++ })
-		return
-	}
-	s.count(func(x *SessionStats) { x.StorePuts++ })
+	s.storePut(func(st PointStore) error { return st.PutSolve(key, op) })
 }
 
 func (s *Session) storeGetDemand(key string) (float64, bool) {
-	st := s.pointStore()
-	if st == nil {
-		return 0, false
-	}
-	d, ok, err := st.GetDemand(key)
-	if err != nil {
-		s.count(func(x *SessionStats) { x.StoreErrs++ })
-		return 0, false
-	}
-	if ok {
-		s.count(func(x *SessionStats) { x.StoreHits++ })
-	}
-	return d, ok
+	return storeGet(s, func(st PointStore) (float64, bool, error) { return st.GetDemand(key) })
 }
 
 func (s *Session) storePutDemand(key string, demand float64) {
-	st := s.pointStore()
-	if st == nil {
-		return
-	}
-	if err := st.PutDemand(key, demand); err != nil {
-		s.count(func(x *SessionStats) { x.StoreErrs++ })
-		return
-	}
-	s.count(func(x *SessionStats) { x.StorePuts++ })
+	s.storePut(func(st PointStore) error { return st.PutDemand(key, demand) })
 }
 
-func (s *Session) storeGetWarm(key string) *platform.Snapshot {
-	st := s.pointStore()
-	if st == nil {
-		return nil
-	}
-	snap, ok, err := st.GetWarm(key)
-	if err != nil {
-		s.count(func(x *SessionStats) { x.StoreErrs++ })
-		return nil
-	}
-	if !ok {
-		return nil
-	}
-	s.count(func(x *SessionStats) { x.StoreHits++ })
-	return snap
+func (s *Session) storeGetMeasure(key string) (MeasureOutcome, bool) {
+	return storeGet(s, func(st PointStore) (MeasureOutcome, bool, error) { return st.GetMeasure(key) })
 }
 
-func (s *Session) storePutWarm(key string, snap *platform.Snapshot) {
-	st := s.pointStore()
-	if st == nil {
-		return
-	}
-	if err := st.PutWarm(key, snap); err != nil {
-		s.count(func(x *SessionStats) { x.StoreErrs++ })
-		return
-	}
-	s.count(func(x *SessionStats) { x.StorePuts++ })
+func (s *Session) storePutMeasure(key string, out MeasureOutcome) {
+	s.storePut(func(st PointStore) error { return st.PutMeasure(key, out) })
 }

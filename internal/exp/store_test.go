@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/platform"
 	"repro/internal/power"
 )
 
@@ -21,10 +20,10 @@ func (faultyStore) GetSolve(string) (OperatingPoint, bool, error) {
 func (faultyStore) PutSolve(string, OperatingPoint) error   { return errSick }
 func (faultyStore) GetDemand(string) (float64, bool, error) { return 0, false, errSick }
 func (faultyStore) PutDemand(string, float64) error         { return errSick }
-func (faultyStore) GetWarm(string) (*platform.Snapshot, bool, error) {
-	return nil, false, errSick
+func (faultyStore) GetMeasure(string) (MeasureOutcome, bool, error) {
+	return MeasureOutcome{}, false, errSick
 }
-func (faultyStore) PutWarm(string, *platform.Snapshot) error { return errSick }
+func (faultyStore) PutMeasure(string, MeasureOutcome) error { return errSick }
 
 // memStore is an in-memory PointStore that sessions standing for successive
 // processes share. Entries are filed under the session's key strings, whose
@@ -59,11 +58,11 @@ func (m *memStore) GetDemand(key string) (float64, bool, error) {
 	return d, ok, nil
 }
 func (m *memStore) PutDemand(key string, d float64) error { return m.put(key, d) }
-func (m *memStore) GetWarm(key string) (*platform.Snapshot, bool, error) {
-	snap, ok := m.get(key).(*platform.Snapshot)
-	return snap, ok, nil
+func (m *memStore) GetMeasure(key string) (MeasureOutcome, bool, error) {
+	out, ok := m.get(key).(MeasureOutcome)
+	return out, ok, nil
 }
-func (m *memStore) PutWarm(key string, snap *platform.Snapshot) error { return m.put(key, snap) }
+func (m *memStore) PutMeasure(key string, out MeasureOutcome) error { return m.put(key, out) }
 
 func TestStoreFailuresAreMissesNotFatal(t *testing.T) {
 	s := NewSession(power.DefaultParams())
@@ -77,10 +76,10 @@ func TestStoreFailuresAreMissesNotFatal(t *testing.T) {
 		t.Fatal("failed GetDemand reported a hit")
 	}
 	s.storePutDemand("k", 1.0)
-	if snap := s.storeGetWarm("k"); snap != nil {
-		t.Fatal("failed GetWarm returned a snapshot")
+	if _, ok := s.storeGetMeasure("k"); ok {
+		t.Fatal("failed GetMeasure reported a hit")
 	}
-	s.storePutWarm("k", nil)
+	s.storePutMeasure("k", MeasureOutcome{})
 
 	st := s.Stats()
 	if st.StoreErrs != 6 {

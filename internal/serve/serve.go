@@ -4,8 +4,9 @@
 // compute kernel into something a fleet of clients can hit concurrently:
 //
 //   - a content-addressed result store (internal/serve/store) persisting
-//     solved points, demand estimates and probe-boundary warm snapshots
-//     across restarts;
+//     solved points, demand estimates and measurement outcomes across
+//     restarts, so a restarted server answers every measured cell without
+//     simulating;
 //   - a bounded LRU of pristine platform templates (the session's template
 //     cache under a cap), keeping memory flat under workload diversity
 //     while amortizing image builds;
@@ -21,6 +22,10 @@
 // full canonical request identity — so reuse can change wall-clock time,
 // never bytes. The golden test in this package replays a randomized
 // concurrent schedule against sequential cold references to pin it.
+//
+// Requests synthesize their records through the session's signal cache, so
+// a repeat request costs a lookup: the record, the solve and the
+// measurement are all memoized.
 package serve
 
 import (
@@ -202,6 +207,11 @@ func (e *Engine) resolveCommon(scenarioName string, durationS, probeS float64, s
 	opts.Exact = exact
 	opts.Scenario = scenarioName
 	opts.Obs = e.sink
+	// Records come from the session's signal cache: a repeat request
+	// recalls its record instead of synthesizing it again just to compute
+	// the session's keys. Cached records are bit-identical and the
+	// canonical request key ignores the cache, so no body can change.
+	opts.Cache = e.session.Cache()
 	return scenarioName, opts, nil
 }
 
@@ -341,7 +351,7 @@ func (e *Engine) Sweep(req wire.SweepRequest) (body []byte, shared bool, err err
 	return e.group.Do(key, func() ([]byte, error) {
 		// A fresh Sweep per flight (concurrent Run calls on one Sweep are
 		// unsupported), all sharing the one session and cache.
-		sw := &exp.Sweep{Jobs: e.jobs, Params: e.params, Session: e.session, Cache: e.session.Cache()}
+		sw := &exp.Sweep{Jobs: e.jobs, Params: e.params, Session: e.session}
 		points := exp.Grid(appNames, archs, opts)
 		ms, err := sw.Run(context.Background(), points)
 		if err != nil {

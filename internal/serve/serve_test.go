@@ -216,12 +216,12 @@ func TestSolveCoalescesConcurrentRequests(t *testing.T) {
 	}
 }
 
-// TestRestartServesFromWarmStore is the persistence acceptance test: a new
+// TestRestartServesFromStore is the persistence acceptance test: a new
 // process (fresh engine) over the same store directory answers a
-// previously-solved measure request without re-simulating — the solve comes
-// from the store, the measurement continues the persisted probe-boundary
-// warm snapshot, and the timeline shows no probe or verify phase.
-func TestRestartServesFromWarmStore(t *testing.T) {
+// previously-measured request without simulating anything — the solve and
+// the measurement both come from the store, no platform is forked, and the
+// timeline shows no probe, verify or measure phase.
+func TestRestartServesFromStore(t *testing.T) {
 	dir := t.TempDir()
 	req := wire.SolveRequest{Scenario: "ecg-default", App: "3l-mf", Arch: "mc",
 		DurationS: testDurationS, ProbeS: testProbeS}
@@ -231,13 +231,13 @@ func TestRestartServesFromWarmStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solves, demands, warms, err := e1.Store().Len()
+	solves, demands, measures, err := e1.Store().Len()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if solves == 0 || demands == 0 || warms == 0 {
-		t.Fatalf("first run persisted %d solves, %d demands, %d warm snapshots; want all > 0",
-			solves, demands, warms)
+	if solves == 0 || demands == 0 || measures == 0 {
+		t.Fatalf("first run persisted %d solves, %d demands, %d measurements; want all > 0",
+			solves, demands, measures)
 	}
 
 	// "Restart": a fresh engine (new session, empty memory caches) over the
@@ -252,29 +252,48 @@ func TestRestartServesFromWarmStore(t *testing.T) {
 	}
 
 	stats := e2.Session().Stats()
-	if stats.StoreHits == 0 {
-		t.Fatalf("restarted engine served without store hits: %+v", stats)
+	if stats.StoreHits != 2 || stats.ProbeRuns != 0 || stats.Forks != 0 || stats.WarmMeasures != 0 {
+		t.Fatalf("restarted engine simulated what the store holds: %+v", stats)
 	}
-	if stats.ProbeRuns != 0 {
-		t.Fatalf("restarted engine re-ran %d probes; the store should have answered", stats.ProbeRuns)
-	}
-	if stats.WarmMeasures != 1 {
-		t.Fatalf("WarmMeasures = %d, want 1 (measurement should continue the persisted snapshot)", stats.WarmMeasures)
-	}
-	warmPhase := false
 	for _, ev := range e2.Timeline() {
 		if ev.Kind != obs.KindPhase {
 			continue
 		}
-		if strings.HasPrefix(ev.Label, "probe ") || strings.HasPrefix(ev.Label, "verify ") {
-			t.Fatalf("restarted engine re-simulated: timeline has phase %q", ev.Label)
-		}
-		if strings.Contains(ev.Label, "(warm)") {
-			warmPhase = true
+		for _, phase := range []string{"probe ", "verify ", "measure "} {
+			if strings.HasPrefix(ev.Label, phase) {
+				t.Fatalf("restarted engine re-simulated: timeline has phase %q", ev.Label)
+			}
 		}
 	}
-	if !warmPhase {
-		t.Fatal("timeline lacks the warm-measure phase span")
+}
+
+// TestRepeatSolveSynthesizesNothing: requests draw their records from the
+// session's signal cache, so one solve synthesizes exactly its measured and
+// probe records, and a repeat solve recalls both instead of synthesizing
+// the measured record again just to key the session's memo.
+func TestRepeatSolveSynthesizesNothing(t *testing.T) {
+	e := newEngine(t, serve.Config{Jobs: 1})
+	req := wire.SolveRequest{Scenario: "ecg-default", App: "3l-mf", Arch: "mc",
+		DurationS: testDurationS, ProbeS: testProbeS}
+	body1, _, err := e.Solve(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req1, syn1 := e.Session().Cache().Stats()
+	if syn1 != 2 {
+		t.Fatalf("one solve synthesized %d records, want 2 (measured and probe record)", syn1)
+	}
+	body2, _, err := e.Solve(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body1, body2) {
+		t.Fatalf("repeat solve changed the response:\n got: %s\nwant: %s", body2, body1)
+	}
+	req2, syn2 := e.Session().Cache().Stats()
+	if syn2 != syn1 || req2 <= req1 {
+		t.Fatalf("repeat solve: cache requests %d -> %d, synths %d -> %d; want more requests and no synths",
+			req1, req2, syn1, syn2)
 	}
 }
 

@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"repro/internal/serve/wire"
@@ -30,9 +32,10 @@ func marshalBody(v any) ([]byte, error) {
 //	GET  /v1/healthz  liveness + loaded scenarios
 //	GET  /v1/metrics  metrics registry (JSON; ?format=text for stats lines)
 //
-// Request bodies are strict JSON (unknown fields rejected — a typoed knob
-// must not silently fall back). Solve/measure/sweep bodies are
-// deterministic: byte-identical for identical requests at any concurrency.
+// Request bodies are strict JSON: exactly one object, unknown fields
+// rejected (a typoed knob must not silently fall back), nothing after it,
+// and at most maxBodyBytes. Solve/measure/sweep bodies are deterministic:
+// byte-identical for identical requests at any concurrency.
 func (e *Engine) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/solve", func(w http.ResponseWriter, r *http.Request) {
@@ -85,19 +88,27 @@ type (
 	wireSweep = wire.SweepRequest
 )
 
+// maxBodyBytes caps a request body. The largest legitimate body, a sweep
+// listing every app and a few structural arch specs, is under a kilobyte.
+const maxBodyBytes = 1 << 20
+
 // handleBody decodes a strict-JSON POST body, runs the endpoint and writes
-// the deterministic response bytes. Resolution failures are the client's
-// (400); simulation failures are reported as 422 (the request was
-// well-formed, the configured cell cannot meet real time or faulted).
+// the deterministic response bytes. Malformed bodies and resolution
+// failures are the client's (400, or 413 for an oversized body); simulation
+// failures are reported as 422 (the request was well-formed, the
+// configured cell cannot meet real time or faulted).
 func handleBody[Req any](e *Engine, w http.ResponseWriter, r *http.Request, run func(Req) ([]byte, bool, error)) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST with a JSON body"))
 		return
 	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var req Req
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeStrict[Req](http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds the %d-byte limit", tooBig.Limit))
+			return
+		}
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
@@ -118,6 +129,26 @@ func handleBody[Req any](e *Engine, w http.ResponseWriter, r *http.Request, run 
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(body)
+}
+
+// decodeStrict decodes exactly one JSON object from r: unknown fields are
+// rejected, and so is anything but whitespace after the object (a second
+// object or stray text would otherwise be silently ignored).
+func decodeStrict[Req any](r io.Reader) (Req, error) {
+	var req Req
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return req, err
+		}
+		return req, errors.New("unexpected data after the JSON object")
+	}
+	return req, nil
 }
 
 // resolveError marks request-resolution failures so the HTTP layer can

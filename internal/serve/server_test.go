@@ -45,6 +45,13 @@ func TestHandlerRejectsBadRequests(t *testing.T) {
 		{"unknown app", "/v1/measure", `{"app":"4l-mf","arch":"sc"}`, http.StatusBadRequest, "unknown app"},
 		{"bad arch", "/v1/solve", `{"app":"3l-mf","arch":"quad"}`, http.StatusBadRequest, ""},
 		{"sweep unknown app", "/v1/sweep", `{"apps":["bogus"]}`, http.StatusBadRequest, "unknown app"},
+		{"trailing text", "/v1/solve", `{"app":"3l-mf","arch":"sc"} trailing`, http.StatusBadRequest, "unexpected data after the JSON object"},
+		{"two objects", "/v1/measure", `{"app":"3l-mf","arch":"sc"}{"app":"3l-mf","arch":"mc"}`, http.StatusBadRequest, "unexpected data after the JSON object"},
+		{"stray closer", "/v1/sweep", `{"apps":["3l-mf"]}}`, http.StatusBadRequest, "unexpected data after the JSON object"},
+		// Trailing whitespace is not data: this body decodes and fails
+		// resolution instead.
+		{"trailing whitespace", "/v1/solve", "{\"app\":\"4l-mf\",\"arch\":\"sc\"} \n\t", http.StatusBadRequest, "unknown app"},
+		{"oversized body", "/v1/solve", `{"scenario":"` + strings.Repeat("x", 1<<20) + `","app":"3l-mf","arch":"sc"}`, http.StatusRequestEntityTooLarge, "1048576-byte"},
 	}
 	for _, tc := range cases {
 		resp, body := post(t, srv, tc.path, tc.body)

@@ -1,28 +1,31 @@
 // Package store implements the content-addressed result store behind
 // wbsn-serve -store and wbsn-bench -store: the persistent form of
-// everything an exp.Session memoizes, keyed by the SHA-256 of the session's
-// canonical identity strings. Each result is one small file, written
-// atomically as it is produced, so a process killed mid-grid loses only
-// in-flight work. The probe-boundary warm snapshots persist too, so
-// measurements warm-start across process death.
+// everything an exp.Session memoizes across processes, keyed by the SHA-256
+// of the session's canonical identity strings. Each result is one small
+// file, written atomically as it is produced, so a process killed mid-grid
+// loses only in-flight work. Measurement outcomes persist too, so a
+// restarted process answers every measured cell without simulating.
 //
 // # Layout
 //
 // Under the root directory:
 //
-//	solve/<sha256(key)>.json   solved operating point + its full key
-//	demand/<sha256(key)>.json  probe demand estimate + its full key
-//	warm/<sha256(key)>.snap    platform snapshot file (versioned gob,
-//	                           platform.WriteSnapshotFile) with the key in
-//	                           its metadata
+//	solve/<sha256(key)>.json    solved operating point + its full key
+//	demand/<sha256(key)>.json   probe demand estimate + its full key
+//	measure/<sha256(key)>.json  measurement outcome (power counters and
+//	                            active bank counts) + its full key
+//
+// A warm/ directory left by an older build (probe-boundary snapshots) is
+// ignored and safe to delete.
 //
 // Every entry records the full canonical key it was stored under and reads
 // verify it, so a hash collision or a misplaced file surfaces as a
-// corruption error instead of a silently wrong result. The keys carry
-// exp.ResultsVersion, so entries written under another results version sit
-// at other addresses and are never read. JSON stores float64 via Go's
-// shortest round-trip formatting, so operating points and demands survive
-// the trip bit-exactly.
+// corruption error instead of a silently wrong result; so does an entry
+// that parses but lacks its result. The keys carry exp.ResultsVersion, so
+// entries written under another results version sit at other addresses and
+// are never read. JSON stores float64 via Go's shortest round-trip
+// formatting and uint64 counters as exact integers, so every result
+// survives the trip bit-exactly.
 //
 // All methods are safe for concurrent use; writes go through a temp file
 // and rename, so readers (including concurrent processes) never observe a
@@ -30,7 +33,6 @@
 package store
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -41,7 +43,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/exp"
-	"repro/internal/platform"
+	"repro/internal/power"
 )
 
 // Store is a content-addressed PointStore rooted at a directory.
@@ -56,7 +58,7 @@ var _ exp.PointStore = (*Store)(nil)
 
 // Open creates (if needed) and returns the store rooted at dir.
 func Open(dir string) (*Store, error) {
-	for _, sub := range []string{"solve", "demand", "warm"} {
+	for _, sub := range []string{"solve", "demand", "measure"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
@@ -95,9 +97,32 @@ type demandEntry struct {
 	DemandHz float64 `json:"demand_hz"`
 }
 
+// measureEntry is the on-disk shape of a measurement outcome.
+type measureEntry struct {
+	Key           string         `json:"key"`
+	ActiveIMBanks int            `json:"active_im_banks"`
+	ActiveDMBanks int            `json:"active_dm_banks"`
+	Counters      power.Counters `json:"counters"`
+}
+
+// entry is what every on-disk shape provides to readJSON: the full key it
+// was stored under, and whether it carries a usable result — a damaged file
+// can still parse, for example one cut down to its key.
+type entry interface {
+	storedKey() string
+	complete() bool
+}
+
+func (e *solveEntry) storedKey() string   { return e.Key }
+func (e *solveEntry) complete() bool      { return e.FreqHz > 0 && e.VoltageV > 0 }
+func (e *demandEntry) storedKey() string  { return e.Key }
+func (e *demandEntry) complete() bool     { return e.DemandHz > 0 }
+func (e *measureEntry) storedKey() string { return e.Key }
+func (e *measureEntry) complete() bool    { return e.Counters.Cycles > 0 }
+
 // readJSON loads one JSON entry, distinguishing absence (ok=false, nil
 // error) from damage (error).
-func (s *Store) readJSON(path, key string, v any, gotKey func() string) (bool, error) {
+func (s *Store) readJSON(path, key string, e entry) (bool, error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		s.misses.Add(1)
@@ -106,11 +131,14 @@ func (s *Store) readJSON(path, key string, v any, gotKey func() string) (bool, e
 	if err != nil {
 		return false, fmt.Errorf("store: %w", err)
 	}
-	if err := json.Unmarshal(data, v); err != nil {
+	if err := json.Unmarshal(data, e); err != nil {
 		return false, fmt.Errorf("store: corrupt entry %s: %w", path, err)
 	}
-	if got := gotKey(); got != key {
+	if got := e.storedKey(); got != key {
 		return false, fmt.Errorf("store: entry %s was stored under a different key (hash collision or misplaced file):\n  stored: %s\n  wanted: %s", path, got, key)
+	}
+	if !e.complete() {
+		return false, fmt.Errorf("store: corrupt entry %s: result fields missing or zero", path)
 	}
 	s.hits.Add(1)
 	return true, nil
@@ -132,7 +160,7 @@ func (s *Store) writeJSON(path string, v any) error {
 // GetSolve returns the solved operating point stored under key, if any.
 func (s *Store) GetSolve(key string) (exp.OperatingPoint, bool, error) {
 	var e solveEntry
-	ok, err := s.readJSON(s.path("solve", key, ".json"), key, &e, func() string { return e.Key })
+	ok, err := s.readJSON(s.path("solve", key, ".json"), key, &e)
 	if !ok || err != nil {
 		return exp.OperatingPoint{}, false, err
 	}
@@ -147,7 +175,7 @@ func (s *Store) PutSolve(key string, op exp.OperatingPoint) error {
 // GetDemand returns the probe demand estimate stored under key, if any.
 func (s *Store) GetDemand(key string) (float64, bool, error) {
 	var e demandEntry
-	ok, err := s.readJSON(s.path("demand", key, ".json"), key, &e, func() string { return e.Key })
+	ok, err := s.readJSON(s.path("demand", key, ".json"), key, &e)
 	if !ok || err != nil {
 		return 0, false, err
 	}
@@ -159,46 +187,25 @@ func (s *Store) PutDemand(key string, demand float64) error {
 	return s.writeJSON(s.path("demand", key, ".json"), demandEntry{Key: key, DemandHz: demand})
 }
 
-// GetWarm returns the probe-boundary warm snapshot stored under key, if
-// any. The snapshot file's own magic/version framing rejects foreign or
-// incompatible files; the key recorded in its metadata is verified here.
-func (s *Store) GetWarm(key string) (*platform.Snapshot, bool, error) {
-	path := s.path("warm", key, ".snap")
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		s.misses.Add(1)
-		return nil, false, nil
+// GetMeasure returns the measurement outcome stored under key, if any.
+func (s *Store) GetMeasure(key string) (exp.MeasureOutcome, bool, error) {
+	var e measureEntry
+	ok, err := s.readJSON(s.path("measure", key, ".json"), key, &e)
+	if !ok || err != nil {
+		return exp.MeasureOutcome{}, false, err
 	}
-	if err != nil {
-		return nil, false, fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	file, err := platform.ReadSnapshotFile(f)
-	if err != nil {
-		return nil, false, fmt.Errorf("store: corrupt entry %s: %w", path, err)
-	}
-	if got := file.Meta["key"]; got != key {
-		return nil, false, fmt.Errorf("store: entry %s was stored under a different key (hash collision or misplaced file):\n  stored: %s\n  wanted: %s", path, got, key)
-	}
-	s.hits.Add(1)
-	return file.Snap, true, nil
+	return exp.MeasureOutcome{Counters: e.Counters, ActiveIMBanks: e.ActiveIMBanks, ActiveDMBanks: e.ActiveDMBanks}, true, nil
 }
 
-// PutWarm persists a probe-boundary warm snapshot under key.
-func (s *Store) PutWarm(key string, snap *platform.Snapshot) error {
-	var buf bytes.Buffer
-	if err := platform.WriteSnapshotFile(&buf, &platform.SnapshotFile{Meta: map[string]string{"key": key}, Snap: snap}); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := writeAtomic(s.path("warm", key, ".snap"), buf.Bytes()); err != nil {
-		return err
-	}
-	s.puts.Add(1)
-	return nil
+// PutMeasure persists a measurement outcome under key.
+func (s *Store) PutMeasure(key string, out exp.MeasureOutcome) error {
+	return s.writeJSON(s.path("measure", key, ".json"), measureEntry{
+		Key: key, ActiveIMBanks: out.ActiveIMBanks, ActiveDMBanks: out.ActiveDMBanks, Counters: out.Counters,
+	})
 }
 
 // Len counts the persisted entries per class, for startup logging.
-func (s *Store) Len() (solves, demands, warms int, err error) {
+func (s *Store) Len() (solves, demands, measures int, err error) {
 	count := func(class string) (int, error) {
 		entries, err := os.ReadDir(filepath.Join(s.dir, class))
 		if err != nil {
@@ -218,7 +225,7 @@ func (s *Store) Len() (solves, demands, warms int, err error) {
 	if demands, err = count("demand"); err != nil {
 		return
 	}
-	warms, err = count("warm")
+	measures, err = count("measure")
 	return
 }
 

@@ -46,6 +46,41 @@ func TestSolveDemandRoundTrip(t *testing.T) {
 	}
 }
 
+func TestMeasureRoundTripAndLen(t *testing.T) {
+	dir := t.TempDir()
+	// A warm/ directory of probe-boundary snapshots, as older builds left
+	// it: ignored, and never counted.
+	if err := os.MkdirAll(filepath.Join(dir, "warm"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "warm", "old.snap"), []byte("gob"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := exp.MeasureOutcome{ActiveIMBanks: 1, ActiveDMBanks: 4}
+	out.Counters.Cycles = 1<<63 + 12345 // beyond float64's exact integers
+	out.Counters.Instrs = 987654321
+	out.Counters.SyncGroupOps[1] = 77
+	key := "measure|v3|3l-mf|arch[...]|sig={...}|freq=1e+06|volt=0.5|dur=10|probe=2.5|exact=false"
+	if err := s.PutMeasure(key, out); err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err := s.GetMeasure(key)
+	if err != nil || !ok {
+		t.Fatalf("get after put: ok=%v err=%v", ok, err)
+	}
+	if got != out {
+		t.Fatalf("round trip changed the outcome:\n got: %+v\nwant: %+v", got, out)
+	}
+	solves, demands, measures, err := s.Len()
+	if err != nil || solves != 0 || demands != 0 || measures != 1 {
+		t.Fatalf("len %d/%d/%d err=%v, want 0/0/1", solves, demands, measures, err)
+	}
+}
+
 func TestReopenedStoreServesEntries(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := Open(dir)
@@ -65,9 +100,9 @@ func TestReopenedStoreServesEntries(t *testing.T) {
 	if err != nil || !ok || got != op {
 		t.Fatalf("reopened store: %v/%v/%v", got, ok, err)
 	}
-	solves, demands, warms, err := s2.Len()
-	if err != nil || solves != 1 || demands != 0 || warms != 0 {
-		t.Fatalf("len %d/%d/%d err=%v, want 1/0/0", solves, demands, warms, err)
+	solves, demands, measures, err := s2.Len()
+	if err != nil || solves != 1 || demands != 0 || measures != 0 {
+		t.Fatalf("len %d/%d/%d err=%v, want 1/0/0", solves, demands, measures, err)
 	}
 }
 
@@ -98,6 +133,23 @@ func TestKeyMismatchIsCorruption(t *testing.T) {
 	}
 	if _, ok, err := s.GetSolve("key-b"); ok || err == nil || !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("truncated entry: ok=%v err=%v", ok, err)
+	}
+
+	// An entry cut down to its key still parses, but carries no result:
+	// corruption too, in every class, never a zero-valued answer.
+	for _, class := range []string{"solve", "demand", "measure"} {
+		if err := os.WriteFile(s.path(class, "key-b", ".json"), []byte(`{"key":"key-b"}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok, err := s.GetSolve("key-b"); ok || err == nil || !strings.Contains(err.Error(), "corrupt") {
+		t.Fatalf("key-only solve entry: ok=%v err=%v", ok, err)
+	}
+	if _, ok, err := s.GetDemand("key-b"); ok || err == nil || !strings.Contains(err.Error(), "corrupt") {
+		t.Fatalf("key-only demand entry: ok=%v err=%v", ok, err)
+	}
+	if _, ok, err := s.GetMeasure("key-b"); ok || err == nil || !strings.Contains(err.Error(), "corrupt") {
+		t.Fatalf("key-only measure entry: ok=%v err=%v", ok, err)
 	}
 }
 

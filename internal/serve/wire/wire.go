@@ -58,8 +58,8 @@ type SolveResponse struct {
 
 // MeasureRequest asks for a full solve-and-measure of one cell: the
 // operating point plus the calibrated power report over the measurement
-// duration. The measurement continues the solve's probe-boundary warm
-// snapshot when the store holds one.
+// duration. A measurement the session or its store already holds is
+// answered without simulating.
 type MeasureRequest = SolveRequest
 
 // MeasureResponse is the measured cell: the solved point and the metrics
