@@ -5,12 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/apps"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/power"
-	"repro/internal/serve/lru"
 	"repro/internal/signal"
 )
 
@@ -41,14 +42,17 @@ type Session struct {
 	params *power.Params
 	cache  *signal.Cache
 
-	mu        sync.Mutex
-	variants  map[variantKey]*variantEntry
-	templates *lru.Cache[templateKey, *templateEntry]
-	demands   map[string]*demandEntry
-	solved    map[string]*solveEntry
-	measured  map[string]*measureEntry
-	warm      map[warmKey]*platform.Snapshot
-	store     PointStore
+	// The memos: each runs a key's computation once among concurrent
+	// callers and remembers its outcome (internal/memo).
+	variants  *memo.Table[variantKey, *apps.Variant]
+	templates atomic.Pointer[memo.Table[templateKey, *platform.Platform]]
+	demands   *memo.Table[string, float64]
+	solved    *memo.Table[string, OperatingPoint]
+	measured  *memo.Table[string, MeasureOutcome]
+
+	mu    sync.Mutex
+	warm  map[warmKey]*platform.Snapshot
+	store PointStore
 
 	stats SessionStats
 }
@@ -144,16 +148,17 @@ func NewSession(params *power.Params) *Session {
 	if params == nil {
 		params = power.DefaultParams()
 	}
-	return &Session{
-		params:    params,
-		cache:     signal.NewCache(),
-		variants:  map[variantKey]*variantEntry{},
-		templates: lru.New[templateKey, *templateEntry](0, nil),
-		demands:   map[string]*demandEntry{},
-		solved:    map[string]*solveEntry{},
-		measured:  map[string]*measureEntry{},
-		warm:      map[warmKey]*platform.Snapshot{},
+	s := &Session{
+		params:   params,
+		cache:    signal.NewCache(),
+		variants: memo.New[variantKey, *apps.Variant](0),
+		demands:  memo.New[string, float64](0),
+		solved:   memo.New[string, OperatingPoint](0),
+		measured: memo.New[string, MeasureOutcome](0),
+		warm:     map[warmKey]*platform.Snapshot{},
 	}
+	s.SetTemplateCap(0)
+	return s
 }
 
 // Cache returns the session's signal cache, shared so callers (the sweep
@@ -169,17 +174,13 @@ func (s *Session) Cache() *signal.Cache { return s.cache }
 // dropped; in-flight users of their platforms are unaffected (entries are
 // reference-held, the cache only forgets them).
 func (s *Session) SetTemplateCap(n int) {
-	s.mu.Lock()
-	s.templates = lru.New[templateKey, *templateEntry](n, nil)
-	s.mu.Unlock()
+	s.templates.Store(memo.New[templateKey, *platform.Platform](n))
 }
 
 // TemplateCacheStats returns the template cache's cumulative hit, miss and
 // eviction counts (reset by SetTemplateCap).
 func (s *Session) TemplateCacheStats() (hits, misses, evictions uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.templates.Stats()
+	return s.templates.Load().Stats()
 }
 
 // PublishMetrics publishes everything the session can report into reg: the
@@ -226,8 +227,13 @@ func (s *Session) measureParams() *power.Params {
 // Stats returns a copy of the session's work counters.
 func (s *Session) Stats() SessionStats {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
+	st := s.stats
+	s.mu.Unlock()
+	_, st.Builds, _ = s.variants.Stats()
+	st.DemandHits, _, _ = s.demands.Stats()
+	st.SolveHits, _, _ = s.solved.Stats()
+	st.MeasureHits, _, _ = s.measured.Stats()
+	return st
 }
 
 func (s *Session) count(f func(*SessionStats)) {
@@ -291,39 +297,9 @@ type variantKey struct {
 	Arch power.Arch
 }
 
-type variantEntry struct {
-	once sync.Once
-	v    *apps.Variant
-	err  error
-}
-
 type templateKey struct {
 	VK  variantKey
 	Src sourceKey
-}
-
-type templateEntry struct {
-	once sync.Once
-	p    *platform.Platform
-	err  error
-}
-
-type demandEntry struct {
-	once   sync.Once
-	demand float64
-	err    error
-}
-
-type solveEntry struct {
-	once sync.Once
-	op   OperatingPoint
-	err  error
-}
-
-type measureEntry struct {
-	once sync.Once
-	out  MeasureOutcome
-	err  error
 }
 
 type warmKey struct {
@@ -338,19 +314,10 @@ type warmKey struct {
 // variant returns the built (assembled, linked) application image for
 // (app, arch), building it at most once per session.
 func (s *Session) variant(app string, arch power.Arch) (*apps.Variant, error) {
-	k := variantKey{App: app, Arch: arch}
-	s.mu.Lock()
-	e, ok := s.variants[k]
-	if !ok {
-		e = &variantEntry{}
-		s.variants[k] = e
-	}
-	s.mu.Unlock()
-	e.once.Do(func() {
-		s.count(func(st *SessionStats) { st.Builds++ })
-		e.v, e.err = apps.Build(app, arch)
+	v, _, err := s.variants.Do(variantKey{App: app, Arch: arch}, func() (*apps.Variant, error) {
+		return apps.Build(app, arch)
 	})
-	return e.v, e.err
+	return v, err
 }
 
 // template returns the session's pristine (never-run) platform for
@@ -364,17 +331,10 @@ func (s *Session) template(app string, arch power.Arch, src *signal.Source) (*pl
 		return nil, err
 	}
 	k := templateKey{VK: variantKey{App: app, Arch: arch}, Src: keyOf(src)}
-	s.mu.Lock()
-	e, ok := s.templates.Get(k)
-	if !ok {
-		e = &templateEntry{}
-		s.templates.Put(k, e)
-	}
-	s.mu.Unlock()
-	e.once.Do(func() {
-		e.p, e.err = v.NewPlatform(src, probeClockHz, 1.0)
+	p, _, err := s.templates.Load().Do(k, func() (*platform.Platform, error) {
+		return v.NewPlatform(src, probeClockHz, 1.0)
 	})
-	return e.p, e.err
+	return p, err
 }
 
 // fork rehydrates a template at an operating point.
@@ -407,14 +367,6 @@ func (s *Session) withCache(opts Options) Options {
 // must not share an estimate.
 func demandKeyString(app string, demandArch power.Arch, probe sourceKey, baseRateHz float64, opts Options) string {
 	return fmt.Sprintf("demand|v%d|%s|%s|%+v|rate=%v|probe=%v|exact=%v", ResultsVersion, app, demandArch.Key(), probe, baseRateHz, opts.ProbeDuration, opts.Exact)
-}
-
-// transient reports whether err is a context-cancellation outcome: a fact
-// about this call's context, not about the grid cell, so it must never be
-// memoized (a sweep's first-error cancellation would otherwise poison its
-// sibling cells for the session's lifetime).
-func transient(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // probeError marks a failure of the demand-estimation run itself. The probe
@@ -452,42 +404,9 @@ func (s *Session) SolveOperatingPoint(ctx context.Context, app string, arch powe
 		return OperatingPoint{}, err
 	}
 	key := solveKeyString(app, arch, keyOf(sig), keyOf(probeSig), opts)
-	s.mu.Lock()
-	e, ok := s.solved[key]
-	if !ok {
-		e = &solveEntry{}
-		s.solved[key] = e
-	}
-	s.mu.Unlock()
-	ran := false
-	e.once.Do(func() {
-		ran = true
-		// The backing store is consulted inside the single-flight slot, so
-		// concurrent identical solves share one store read too, and a hit
-		// is indistinguishable from having solved it in this process
-		// (results are deterministic, keys pin the full identity).
-		if op, ok := s.storeGetSolve(key); ok {
-			e.op = op
-			return
-		}
-		e.op, e.err = s.solve(ctx, app, arch, sig, probeSig, opts)
-		if e.err == nil {
-			s.storePutSolve(key, e.op)
-		}
+	return recall(s, s.solved, key, PointStore.GetSolve, PointStore.PutSolve, func() (OperatingPoint, error) {
+		return s.solve(ctx, app, arch, sig, probeSig, opts)
 	})
-	if !ran {
-		s.count(func(st *SessionStats) { st.SolveHits++ })
-	}
-	if transient(e.err) {
-		// Forget the entry: the cancellation belongs to the context that
-		// hit it, not to the cell; a later solve must simulate afresh.
-		s.mu.Lock()
-		if s.solved[key] == e {
-			delete(s.solved, key)
-		}
-		s.mu.Unlock()
-	}
-	return e.op, e.err
 }
 
 // demand estimates (or recalls) the frequency demand of app probed on
@@ -497,36 +416,9 @@ func (s *Session) SolveOperatingPoint(ctx context.Context, app string, arch powe
 // uses the caller's record, not the probe record).
 func (s *Session) demand(ctx context.Context, app string, demandArch power.Arch, probeSig *signal.Source, baseRateHz float64, opts Options) (float64, error) {
 	key := demandKeyString(app, demandArch, keyOf(probeSig), baseRateHz, opts)
-	s.mu.Lock()
-	e, ok := s.demands[key]
-	if !ok {
-		e = &demandEntry{}
-		s.demands[key] = e
-	}
-	s.mu.Unlock()
-	ran := false
-	e.once.Do(func() {
-		ran = true
-		if d, ok := s.storeGetDemand(key); ok {
-			e.demand = d
-			return
-		}
-		e.demand, e.err = s.runProbe(ctx, app, demandArch, probeSig, baseRateHz, opts)
-		if e.err == nil {
-			s.storePutDemand(key, e.demand)
-		}
+	return recall(s, s.demands, key, PointStore.GetDemand, PointStore.PutDemand, func() (float64, error) {
+		return s.runProbe(ctx, app, demandArch, probeSig, baseRateHz, opts)
 	})
-	if !ran {
-		s.count(func(st *SessionStats) { st.DemandHits++ })
-	}
-	if transient(e.err) {
-		s.mu.Lock()
-		if s.demands[key] == e {
-			delete(s.demands, key)
-		}
-		s.mu.Unlock()
-	}
-	return e.demand, e.err
 }
 
 // runProbe executes the busy-cycle estimation run at the generous probe
@@ -755,39 +647,13 @@ func (s *Session) Measure(ctx context.Context, app string, arch power.Arch, op O
 		return nil, err
 	}
 	key := measureKeyString(app, arch, keyOf(sig), op, opts)
-	s.mu.Lock()
-	e, ok := s.measured[key]
-	if !ok {
-		e = &measureEntry{}
-		s.measured[key] = e
-	}
-	s.mu.Unlock()
-	ran := false
-	e.once.Do(func() {
-		ran = true
-		if out, ok := s.storeGetMeasure(key); ok {
-			e.out = out
-			return
-		}
-		e.out, e.err = s.measure(ctx, v, app, arch, op, sig, opts)
-		if e.err == nil {
-			s.storePutMeasure(key, e.out)
-		}
+	out, err := recall(s, s.measured, key, PointStore.GetMeasure, PointStore.PutMeasure, func() (MeasureOutcome, error) {
+		return s.measure(ctx, v, app, arch, op, sig, opts)
 	})
-	if !ran {
-		s.count(func(st *SessionStats) { st.MeasureHits++ })
+	if err != nil {
+		return nil, err
 	}
-	if transient(e.err) {
-		s.mu.Lock()
-		if s.measured[key] == e {
-			delete(s.measured, key)
-		}
-		s.mu.Unlock()
-	}
-	if e.err != nil {
-		return nil, e.err
-	}
-	return e.out.measurement(v, app, arch, op, s.measureParams())
+	return out.measurement(v, app, arch, op, s.measureParams())
 }
 
 // measure simulates one measurement and returns its outcome, continuing the

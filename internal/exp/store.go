@@ -1,5 +1,7 @@
 package exp
 
+import "repro/internal/memo"
+
 // ResultsVersion versions every result a session persists. It is the second
 // field of each store key string ("solve|v3|..."), so an entry written under
 // another version hashes to a different address and is never read: a stale
@@ -61,59 +63,38 @@ func (s *Session) pointStore() PointStore {
 	return s.store
 }
 
-// storeGet consults the backing store through get. Errors count as misses
-// (and into StoreErrs): determinism makes recomputing safe.
-func storeGet[T any](s *Session, get func(PointStore) (T, bool, error)) (T, bool) {
-	var zero T
-	st := s.pointStore()
-	if st == nil {
-		return zero, false
-	}
-	v, ok, err := get(st)
-	if err != nil {
-		s.count(func(x *SessionStats) { x.StoreErrs++ })
-		return zero, false
-	}
-	if ok {
-		s.count(func(x *SessionStats) { x.StoreHits++ })
-	}
-	return v, ok
-}
-
-// storePut writes one result through to the backing store; a failure only
-// loses amortization and counts into StoreErrs.
-func (s *Session) storePut(put func(PointStore) error) {
-	st := s.pointStore()
-	if st == nil {
-		return
-	}
-	if err := put(st); err != nil {
-		s.count(func(x *SessionStats) { x.StoreErrs++ })
-		return
-	}
-	s.count(func(x *SessionStats) { x.StorePuts++ })
-}
-
-func (s *Session) storeGetSolve(key string) (OperatingPoint, bool) {
-	return storeGet(s, func(st PointStore) (OperatingPoint, bool, error) { return st.GetSolve(key) })
-}
-
-func (s *Session) storePutSolve(key string, op OperatingPoint) {
-	s.storePut(func(st PointStore) error { return st.PutSolve(key, op) })
-}
-
-func (s *Session) storeGetDemand(key string) (float64, bool) {
-	return storeGet(s, func(st PointStore) (float64, bool, error) { return st.GetDemand(key) })
-}
-
-func (s *Session) storePutDemand(key string, demand float64) {
-	s.storePut(func(st PointStore) error { return st.PutDemand(key, demand) })
-}
-
-func (s *Session) storeGetMeasure(key string) (MeasureOutcome, bool) {
-	return storeGet(s, func(st PointStore) (MeasureOutcome, bool, error) { return st.GetMeasure(key) })
-}
-
-func (s *Session) storePutMeasure(key string, out MeasureOutcome) {
-	s.storePut(func(st PointStore) error { return st.PutMeasure(key, out) })
+// recall answers key from the memo t. The first caller consults the backing
+// store and, on a miss, computes the result and writes it through; every
+// other caller shares that outcome (memo.Table forgets cancellations).
+// Reading the store inside the flight means concurrent identical requests
+// share one store read too, and a hit is indistinguishable from having
+// computed the result in this process (results are deterministic, keys pin
+// the full identity). Store errors count into StoreErrs and are otherwise
+// ignored: a failed read recomputes, a failed write loses only amortization.
+func recall[V any](s *Session, t *memo.Table[string, V], key string,
+	get func(PointStore, string) (V, bool, error), put func(PointStore, string, V) error,
+	compute func() (V, error)) (V, error) {
+	v, _, err := t.Do(key, func() (V, error) {
+		st := s.pointStore()
+		if st != nil {
+			v, ok, err := get(st, key)
+			if err != nil {
+				s.count(func(x *SessionStats) { x.StoreErrs++ })
+			} else if ok {
+				s.count(func(x *SessionStats) { x.StoreHits++ })
+				return v, nil
+			}
+		}
+		v, err := compute()
+		if err != nil || st == nil {
+			return v, err
+		}
+		if err := put(st, key, v); err != nil {
+			s.count(func(x *SessionStats) { x.StoreErrs++ })
+		} else {
+			s.count(func(x *SessionStats) { x.StorePuts++ })
+		}
+		return v, nil
+	})
+	return v, err
 }

@@ -64,23 +64,33 @@ func (m *memStore) GetMeasure(key string) (MeasureOutcome, bool, error) {
 }
 func (m *memStore) PutMeasure(key string, out MeasureOutcome) error { return m.put(key, out) }
 
+// recallAll drives one key of each result class through recall, computing
+// a fixed value on a miss, and returns how many computations ran.
+func recallAll(t *testing.T, s *Session) (runs int) {
+	t.Helper()
+	op := OperatingPoint{FreqHz: 1e6, VoltageV: 0.5}
+	if got, err := recall(s, s.solved, "k", PointStore.GetSolve, PointStore.PutSolve,
+		func() (OperatingPoint, error) { runs++; return op, nil }); err != nil || got != op {
+		t.Fatalf("solve recall = %+v, %v; want %+v", got, err, op)
+	}
+	if got, err := recall(s, s.demands, "k", PointStore.GetDemand, PointStore.PutDemand,
+		func() (float64, error) { runs++; return 1.0, nil }); err != nil || got != 1.0 {
+		t.Fatalf("demand recall = %v, %v; want 1", got, err)
+	}
+	out := MeasureOutcome{ActiveIMBanks: 2}
+	if got, err := recall(s, s.measured, "k", PointStore.GetMeasure, PointStore.PutMeasure,
+		func() (MeasureOutcome, error) { runs++; return out, nil }); err != nil || got != out {
+		t.Fatalf("measure recall = %+v, %v; want %+v", got, err, out)
+	}
+	return runs
+}
+
 func TestStoreFailuresAreMissesNotFatal(t *testing.T) {
 	s := NewSession(power.DefaultParams())
 	s.SetStore(faultyStore{})
-
-	if _, ok := s.storeGetSolve("k"); ok {
-		t.Fatal("failed GetSolve reported a hit")
+	if runs := recallAll(t, s); runs != 3 {
+		t.Fatalf("%d of 3 results computed; a failed store read must be a miss", runs)
 	}
-	s.storePutSolve("k", OperatingPoint{FreqHz: 1e6, VoltageV: 0.5})
-	if _, ok := s.storeGetDemand("k"); ok {
-		t.Fatal("failed GetDemand reported a hit")
-	}
-	s.storePutDemand("k", 1.0)
-	if _, ok := s.storeGetMeasure("k"); ok {
-		t.Fatal("failed GetMeasure reported a hit")
-	}
-	s.storePutMeasure("k", MeasureOutcome{})
-
 	st := s.Stats()
 	if st.StoreErrs != 6 {
 		t.Fatalf("StoreErrs = %d, want 6 (every operation failed)", st.StoreErrs)
@@ -92,10 +102,9 @@ func TestStoreFailuresAreMissesNotFatal(t *testing.T) {
 
 func TestNoStoreIsSilent(t *testing.T) {
 	s := NewSession(power.DefaultParams())
-	if _, ok := s.storeGetSolve("k"); ok {
-		t.Fatal("storeless session reported a hit")
+	if runs := recallAll(t, s); runs != 3 {
+		t.Fatalf("%d of 3 results computed by a storeless session, want 3", runs)
 	}
-	s.storePutSolve("k", OperatingPoint{})
 	if st := s.Stats(); st.StoreErrs != 0 || st.StoreHits != 0 || st.StorePuts != 0 {
 		t.Fatalf("storeless session counted store traffic: %+v", st)
 	}

@@ -8,9 +8,9 @@
 //     restarts, so a restarted server answers every measured cell without
 //     simulating;
 //   - a bounded LRU of pristine platform templates (the session's template
-//     cache under a cap), keeping memory flat under workload diversity
-//     while amortizing image builds;
-//   - single-flight request coalescing (internal/serve/coalesce): N
+//     memo, an internal/memo Table under a cap), keeping memory flat under
+//     workload diversity while amortizing image builds;
+//   - single-flight request coalescing (an internal/memo Group): N
 //     identical concurrent requests share one simulation and receive
 //     byte-identical bodies.
 //
@@ -38,10 +38,10 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/exp"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/scenario"
-	"repro/internal/serve/coalesce"
 	"repro/internal/serve/store"
 	"repro/internal/serve/wire"
 )
@@ -83,7 +83,7 @@ type Engine struct {
 	scenarios map[string]*scenario.Scenario
 	names     []string
 	jobs      int
-	group     *coalesce.Group
+	group     *memo.Group[string, []byte]
 	reg       *obs.Registry
 	sink      *obs.Sink
 }
@@ -109,7 +109,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		params:    params,
 		scenarios: map[string]*scenario.Scenario{},
 		jobs:      jobs,
-		group:     coalesce.NewGroup(),
+		group:     memo.NewGroup[string, []byte](),
 		reg:       reg,
 		sink:      sink,
 	}
@@ -175,9 +175,31 @@ type resolved struct {
 	opts     exp.Options
 }
 
+// Request bounds. maxFieldBytes caps every request string before an error
+// message can quote it. maxSeconds caps duration_s and probe_s: a request's
+// record is synthesized for its whole duration before anything is simulated
+// (a 3L-MF record takes about 7.8 MB per 1000 s), and 600 s is 60 times the
+// paper's 10-s measurement (every bundled scenario uses 10 s or less).
+const (
+	maxFieldBytes = 256
+	maxSeconds    = 600
+)
+
+// checkField rejects a request string longer than maxFieldBytes, naming the
+// field and the limit but not the value.
+func checkField(field, v string) error {
+	if len(v) > maxFieldBytes {
+		return fmt.Errorf("%s is %d bytes, over the %d-byte limit", field, len(v), maxFieldBytes)
+	}
+	return nil
+}
+
 // resolveCommon validates the shared request fields and layers them over
 // the scenario's options.
 func (e *Engine) resolveCommon(scenarioName string, durationS, probeS float64, seed *int64, pathoFrac *float64, exact bool) (string, exp.Options, error) {
+	if err := checkField("scenario", scenarioName); err != nil {
+		return "", exp.Options{}, err
+	}
 	opts := exp.DefaultOptions()
 	if scenarioName != "" {
 		scn, ok := e.scenarios[scenarioName]
@@ -188,6 +210,9 @@ func (e *Engine) resolveCommon(scenarioName string, durationS, probeS float64, s
 	}
 	if durationS < 0 || probeS < 0 {
 		return "", exp.Options{}, fmt.Errorf("negative duration_s (%v) or probe_s (%v)", durationS, probeS)
+	}
+	if durationS > maxSeconds || probeS > maxSeconds {
+		return "", exp.Options{}, fmt.Errorf("duration_s (%v) or probe_s (%v) over the %d-s limit", durationS, probeS, maxSeconds)
 	}
 	if durationS > 0 {
 		opts.Duration = durationS
@@ -219,6 +244,12 @@ func (e *Engine) resolveCommon(scenarioName string, durationS, probeS float64, s
 func (e *Engine) resolveCell(req wire.SolveRequest) (resolved, error) {
 	name, opts, err := e.resolveCommon(req.Scenario, req.DurationS, req.ProbeS, req.Seed, req.PathoFrac, req.Exact)
 	if err != nil {
+		return resolved{}, err
+	}
+	if err := checkField("app", req.App); err != nil {
+		return resolved{}, err
+	}
+	if err := checkField("arch", req.Arch); err != nil {
 		return resolved{}, err
 	}
 	if req.App == "" {
@@ -325,7 +356,10 @@ func (e *Engine) Sweep(req wire.SweepRequest) (body []byte, shared bool, err err
 	if len(appNames) == 0 {
 		appNames = apps.Names
 	}
-	for _, n := range appNames {
+	for i, n := range appNames {
+		if err := checkField(fmt.Sprintf("apps[%d]", i), n); err != nil {
+			return nil, false, &resolveError{err}
+		}
 		known := false
 		for _, k := range apps.Names {
 			known = known || k == n
@@ -336,7 +370,10 @@ func (e *Engine) Sweep(req wire.SweepRequest) (body []byte, shared bool, err err
 	}
 	if len(req.Archs) > 0 {
 		archs = nil
-		for _, spec := range req.Archs {
+		for i, spec := range req.Archs {
+			if err := checkField(fmt.Sprintf("archs[%d]", i), spec); err != nil {
+				return nil, false, &resolveError{err}
+			}
 			a, err := power.ParseArchSpec(spec)
 			if err != nil {
 				return nil, false, &resolveError{err}

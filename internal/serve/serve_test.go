@@ -297,6 +297,29 @@ func TestRepeatSolveSynthesizesNothing(t *testing.T) {
 	}
 }
 
+// TestLongDurationsRejectedBeforeSynthesis: a duration or probe window over
+// the limit is rejected before its record is synthesized (a 1e6-s 3L-MF
+// record would take gigabytes), on every endpoint.
+func TestLongDurationsRejectedBeforeSynthesis(t *testing.T) {
+	e := newEngine(t, serve.Config{})
+	for _, dur := range [][2]float64{{1e6, 0}, {0, 1e6}, {601, 600}} {
+		req := wire.SolveRequest{App: "3l-mf", Arch: "sc", DurationS: dur[0], ProbeS: dur[1]}
+		sweep := wire.SweepRequest{Apps: []string{"3l-mf"}, DurationS: dur[0], ProbeS: dur[1]}
+		for name, run := range map[string]func() ([]byte, bool, error){
+			"solve":   func() ([]byte, bool, error) { return e.Solve(req) },
+			"measure": func() ([]byte, bool, error) { return e.Measure(req) },
+			"sweep":   func() ([]byte, bool, error) { return e.Sweep(sweep) },
+		} {
+			if _, _, err := run(); err == nil || !strings.Contains(err.Error(), "600-s limit") {
+				t.Errorf("%s with duration_s %v, probe_s %v: got %v, want the 600-s limit", name, dur[0], dur[1], err)
+			}
+		}
+	}
+	if requests, _ := e.Session().Cache().Stats(); requests != 0 {
+		t.Fatalf("rejected requests reached the signal cache %d times", requests)
+	}
+}
+
 // TestResolveErrors pins the request-validation failure modes.
 func TestResolveErrors(t *testing.T) {
 	e := newEngine(t, serve.Config{})

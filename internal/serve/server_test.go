@@ -52,6 +52,8 @@ func TestHandlerRejectsBadRequests(t *testing.T) {
 		// resolution instead.
 		{"trailing whitespace", "/v1/solve", "{\"app\":\"4l-mf\",\"arch\":\"sc\"} \n\t", http.StatusBadRequest, "unknown app"},
 		{"oversized body", "/v1/solve", `{"scenario":"` + strings.Repeat("x", 1<<20) + `","app":"3l-mf","arch":"sc"}`, http.StatusRequestEntityTooLarge, "1048576-byte"},
+		{"duration too long", "/v1/measure", `{"app":"3l-mf","arch":"sc","duration_s":1e6}`, http.StatusBadRequest, "600-s limit"},
+		{"probe too long", "/v1/sweep", `{"apps":["3l-mf"],"probe_s":601}`, http.StatusBadRequest, "600-s limit"},
 	}
 	for _, tc := range cases {
 		resp, body := post(t, srv, tc.path, tc.body)
@@ -78,6 +80,33 @@ func TestHandlerRejectsBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/solve: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestHandlerBoundsRequestStrings: an oversized request string is rejected
+// by name before any error message can quote it, so the 400 stays small
+// whatever the client sent (a body just under the 1-MiB cap used to come
+// back whole).
+func TestHandlerBoundsRequestStrings(t *testing.T) {
+	srv := newTestServer(t)
+	long := strings.Repeat("x", 900000)
+	cases := []struct{ field, path, body string }{
+		{"scenario", "/v1/solve", `{"scenario":"` + long + `","app":"3l-mf","arch":"sc"}`},
+		{"app", "/v1/measure", `{"app":"` + long + `","arch":"sc"}`},
+		{"arch", "/v1/solve", `{"app":"3l-mf","arch":"` + long + `"}`},
+		{"scenario", "/v1/sweep", `{"scenario":"` + long + `"}`},
+		{"apps[1]", "/v1/sweep", `{"apps":["3l-mf","` + long + `"]}`},
+		{"archs[0]", "/v1/sweep", `{"archs":["` + long + `"]}`},
+	}
+	for _, tc := range cases {
+		resp, body := post(t, srv, tc.path, tc.body)
+		if resp.StatusCode != http.StatusBadRequest || len(body) >= 1024 {
+			t.Errorf("%s %s: status %d with a %d-byte body, want 400 under 1 KiB", tc.path, tc.field, resp.StatusCode, len(body))
+			continue
+		}
+		if want := tc.field + " is 900000 bytes, over the 256-byte limit"; !strings.Contains(string(body), want) {
+			t.Errorf("%s %s: body %s lacks %q", tc.path, tc.field, body, want)
+		}
 	}
 }
 

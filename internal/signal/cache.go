@@ -1,21 +1,16 @@
 package signal
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "repro/internal/memo"
 
 // Cache memoizes Synthesize by (kind, normalized config, duration). The
 // experiment sweep engine shares one cache across its worker pool so each
 // distinct record is synthesized exactly once per grid instead of once per
 // (app, arch, scenario) point; synthesis is deterministic, so a cached
-// record is bit-identical to a fresh one. Callers must treat returned
-// sources as immutable — they are shared.
+// record is bit-identical to a fresh one. Concurrent requests for the same
+// key block on one synthesis instead of duplicating it. Callers must treat
+// returned sources as immutable — they are shared.
 type Cache struct {
-	mu       sync.Mutex
-	entries  map[cacheKey]*cacheEntry
-	requests atomic.Int64
-	synths   atomic.Int64
+	records *memo.Table[cacheKey, *Source]
 }
 
 type cacheKey struct {
@@ -23,17 +18,9 @@ type cacheKey struct {
 	durS float64
 }
 
-// cacheEntry is a single-flight slot: concurrent requests for the same key
-// block on one synthesis instead of duplicating it.
-type cacheEntry struct {
-	once sync.Once
-	src  *Source
-	err  error
-}
-
 // NewCache returns an empty signal cache safe for concurrent use.
 func NewCache() *Cache {
-	return &Cache{entries: map[cacheKey]*cacheEntry{}}
+	return &Cache{records: memo.New[cacheKey, *Source](0)}
 }
 
 // Synthesize returns the memoized record for (cfg, duration), synthesizing
@@ -44,30 +31,24 @@ func (c *Cache) Synthesize(cfg Config, duration float64) (*Source, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.requests.Add(1)
-	key := cacheKey{cfg: norm, durS: duration}
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if !ok {
-		e = &cacheEntry{}
-		c.entries[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		c.synths.Add(1)
-		e.src, e.err = Synthesize(norm, duration)
+	src, _, err := c.records.Do(cacheKey{cfg: norm, durS: duration}, func() (*Source, error) {
+		return Synthesize(norm, duration)
 	})
-	return e.src, e.err
+	return src, err
 }
 
 // Synths returns how many records were actually synthesized (cache misses);
 // the gap to the request count is work the memoization saved.
-func (c *Cache) Synths() int { return int(c.synths.Load()) }
+func (c *Cache) Synths() int {
+	_, misses, _ := c.records.Stats()
+	return int(misses)
+}
 
 // Stats returns the cumulative request and synthesis counts; requests minus
 // synths is the number of hits the memoization served. Both surface through
 // the obs registry (the CLIs' "stats" stderr block and the serving layer's
 // /v1/metrics endpoint).
 func (c *Cache) Stats() (requests, synths uint64) {
-	return uint64(c.requests.Load()), uint64(c.synths.Load())
+	hits, misses, _ := c.records.Stats()
+	return hits + misses, misses
 }
