@@ -164,7 +164,7 @@ func main() {
 	storeDir := flag.String("store", "", "content-addressed result store directory: solved points, probe demands and measurements are read from it and written through as they are produced; re-runs reuse them (bit-identical results)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	timelineOut := flag.String("timeline-out", "", "write the simulated-event timeline as Chrome trace-event JSON (load in Perfetto); observation only, results are bit-identical")
+	timelineOut := flag.String("timeline-out", "", "write the simulated-event timeline as Chrome trace-event JSON (load in Perfetto); observation only, results are bit-identical (with -exact it also records every cycle's core-state and sync-op events, so raise -timeline-cap)")
 	metricsOut := flag.String("metrics-out", "", "write the metrics registry (counters and cycle histograms) as stable JSON")
 	timelineCap := flag.Int("timeline-cap", obs.DefaultTimelineCap, "timeline ring capacity in events; oldest events are dropped beyond it")
 	flag.Parse()

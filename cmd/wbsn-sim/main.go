@@ -8,7 +8,9 @@
 // application and duration come from a declarative scenario file instead of
 // the ECG flags. With -checkpoint the platform state is dumped at the end of
 // the run and a later invocation with the same configuration resumes it,
-// continuing the simulation exactly where it stopped.
+// continuing the simulation exactly where it stopped. With -trace-window a
+// window of cycles runs exactly and the timeline records each core's state
+// changes and sync instructions in it.
 package main
 
 import (
@@ -21,6 +23,8 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
+	"strconv"
+	"strings"
 
 	"repro/internal/apps"
 	"repro/internal/exp"
@@ -29,7 +33,6 @@ import (
 	"repro/internal/power"
 	"repro/internal/scenario"
 	"repro/internal/signal"
-	"repro/internal/trace"
 )
 
 // Distinct exit statuses for CI smoke tests: a run that ended with the sync
@@ -117,14 +120,14 @@ func main() {
 	seed := flag.Int64("seed", 1, "synthetic record seed")
 	scenarioPath := flag.String("scenario", "", "scenario file providing the signal configuration (and default app/duration)")
 	dumpMapping := flag.Bool("dump-mapping", false, "print code/data placement and exit")
-	traceN := flag.Int("trace", 0, "record platform events and print the last N")
+	traceWindow := flag.String("trace-window", "", "START:LEN: step the LEN cycles stamped START to START+LEN-1 exactly and record each core's state changes and sync instructions in them on the -timeline-out timeline; the rest of the run keeps every fast path (results are bit-identical)")
 	exact := flag.Bool("exact", false, "disable every fast path (idle and spin fast-forward, block runs, strides); simulate every cycle (bit-identical results, slower)")
-	sweepArchs := flag.Bool("sweep", false, "solve and measure the app on sc, mc-nosync and mc (ignores -arch/-clock-mhz/-voltage; incompatible with -trace/-dump-mapping/-checkpoint)")
+	sweepArchs := flag.Bool("sweep", false, "solve and measure the app on sc, mc-nosync and mc (ignores -arch/-clock-mhz/-voltage; incompatible with -trace-window/-dump-mapping/-checkpoint)")
 	probe := flag.Float64("probe", 2.5, "simulated seconds per operating-point probe (-sweep)")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "parallel sweep workers (-sweep; results are identical for any value)")
 	checkpoint := flag.String("checkpoint", "", "checkpoint file: resume the simulation from it when present (same flags required) and rewrite it after -duration more seconds")
 	record := flag.Float64("record", 0, "synthesized record length in seconds (0 = -duration+2); generators are not prefix-stable across lengths, so checkpointed runs and any run they should be compared against must pin the same -record")
-	timelineOut := flag.String("timeline-out", "", "write the run's event timeline as Chrome trace-event JSON (loads in Perfetto / chrome://tracing); observation only — results are bit-identical and all fast paths stay engaged")
+	timelineOut := flag.String("timeline-out", "", "write the run's event timeline as Chrome trace-event JSON (loads in Perfetto / chrome://tracing); observation only — results are bit-identical and all fast paths stay engaged; exact cycles (-exact, -trace-window) also record core-state and sync-op events")
 	metricsOut := flag.String("metrics-out", "", "write the run's metrics registry (counters + histograms) as stable JSON to this file")
 	timelineCap := flag.Int("timeline-cap", obs.DefaultTimelineCap, "timeline ring capacity in events; the oldest events drop beyond it")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file")
@@ -135,6 +138,13 @@ func main() {
 	}
 	if *timelineCap < 1 {
 		fatal(fmt.Errorf("-timeline-cap must be positive, got %d (the timeline is a ring of that many events; omit -timeline-out to disable it)", *timelineCap))
+	}
+	winStart, winLen, err := parseTraceWindow(*traceWindow)
+	if err != nil {
+		fatal(err)
+	}
+	if winLen > 0 && *timelineOut == "" {
+		fatal(fmt.Errorf("-trace-window records its events on the timeline; add -timeline-out FILE (and a -timeline-cap large enough for the window)"))
 	}
 
 	if *cpuprofile != "" {
@@ -196,8 +206,8 @@ func main() {
 	}
 
 	if *sweepArchs {
-		if *dumpMapping || *traceN > 0 || *checkpoint != "" {
-			fatal(fmt.Errorf("-sweep compares solved operating points and is incompatible with -dump-mapping, -trace and -checkpoint; run those against one -arch (wbsn-bench -store persists solved operating points)"))
+		if *dumpMapping || winLen > 0 || *checkpoint != "" {
+			fatal(fmt.Errorf("-sweep compares solved operating points and is incompatible with -dump-mapping, -trace-window and -checkpoint; run those against one -arch (wbsn-bench -store persists solved operating points)"))
 		}
 		runSweep(*app, exp.Options{
 			Duration: *duration, ProbeDuration: *probe,
@@ -273,15 +283,15 @@ func main() {
 				*checkpoint, p.Cycle(), float64(p.Cycle())/(*clock*1e6))
 		}
 	}
-	var rec *trace.Recorder
-	if *traceN > 0 {
-		rec = trace.NewRecorder(*traceN)
-		p.SetTracer(rec)
-	}
 	if sink != nil {
 		p.SetObserver(sink)
 	}
-	if err := p.RunSeconds(*duration); err != nil {
+	if winLen > 0 {
+		err = runWindowed(p, p.Cycle()+p.CyclesFor(*duration), winStart, winLen)
+	} else {
+		err = p.RunSeconds(*duration)
+	}
+	if err != nil {
 		fatal(err)
 	}
 	if *checkpoint != "" {
@@ -308,10 +318,9 @@ func main() {
 	// Engine diagnostics (idle/spin/block fast-path work) now flow through
 	// the metrics registry and print uniformly on stderr below — stdout
 	// carries only simulated results, so runs can be byte-compared without
-	// stripping stats lines. Spin/block odometers reset on a checkpoint
-	// restore (unlike the idle counters, which the snapshot carries) and
-	// therefore describe this invocation's segment, published alongside
-	// its cycle count.
+	// stripping stats lines. Every engine odometer resets on a checkpoint
+	// restore and therefore describes this invocation's segment, published
+	// alongside its cycle count.
 	p.PublishMetrics(reg)
 	reg.Add("sim.segment_cycles", p.Cycle()-startCycle)
 	rep, err := p.PowerReport(power.DefaultParams())
@@ -331,12 +340,6 @@ func main() {
 	if c.SyncTimeouts > 0 {
 		fmt.Printf("  sync timeouts: %d\n", c.SyncTimeouts)
 	}
-	if rec != nil {
-		fmt.Printf("\nevent trace:\n%s", rec.Summary())
-		if err := rec.WriteTimeline(os.Stdout); err != nil {
-			fatal(err)
-		}
-	}
 	if err := reg.WriteText(os.Stderr, "stats "); err != nil {
 		fatal(err)
 	}
@@ -353,6 +356,42 @@ func main() {
 			c.SyncTimeouts)
 		os.Exit(exitSyncTimeout)
 	}
+}
+
+// parseTraceWindow parses -trace-window's START:LEN (empty = no window).
+func parseTraceWindow(spec string) (start, n uint64, err error) {
+	if spec == "" {
+		return 0, 0, nil
+	}
+	a, b, ok := strings.Cut(spec, ":")
+	start, err1 := strconv.ParseUint(a, 10, 64)
+	n, err2 := strconv.ParseUint(b, 10, 64)
+	if !ok || err1 != nil || err2 != nil || n == 0 || start+n < start {
+		return 0, 0, fmt.Errorf("-trace-window wants START:LEN in cycles with LEN > 0, got %q", spec)
+	}
+	return start, n, nil
+}
+
+// runWindowed runs p up to cycle end like one Run call, stepping the n
+// cycles stamped start to start+n-1 in exact mode (so an attached sink
+// records their core-state and sync-op events) and the rest in the
+// platform's own mode; neither chunking nor exactness changes results. It
+// stops after the segment in which every core halted, because a Run call
+// on a halted platform steps one more cycle.
+func runWindowed(p *platform.Platform, end, start, n uint64) error {
+	from := start - min(start, 1) // the Step from cycle c is stamped c+1
+	for _, seg := range [...]struct {
+		until uint64
+		exact bool
+	}{{from, p.Exact()}, {start + n - 1, true}, {end, p.Exact()}} {
+		if until := min(seg.until, end); until > p.Cycle() {
+			p.SetExact(seg.exact)
+			if err := p.Run(until - p.Cycle()); err != nil || p.AllHalted() {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // runSweep solves and measures one application on every architecture variant

@@ -421,7 +421,9 @@ func (s *Synchronizer) Snapshot() SyncState {
 
 // Restore reinstates a previously captured state. The synchronizer must have
 // been constructed with the same core and point counts the state was captured
-// under.
+// under. States no run reaches are rejected rather than left to fault later:
+// an unknown core state, a wait on an event group beyond MaxSyncGroups, or an
+// armed timeout deadline at or before the snapshot cycle.
 func (s *Synchronizer) Restore(st SyncState) error {
 	if len(st.Points) != s.npoints {
 		return fmt.Errorf("core: restoring %d sync points onto a synchronizer with %d", len(st.Points), s.npoints)
@@ -429,6 +431,14 @@ func (s *Synchronizer) Restore(st SyncState) error {
 	for c := 0; c < isa.MaxCores; c++ {
 		if (st.State[c] == StateOff) != (c >= s.nc) {
 			return fmt.Errorf("core: snapshot core-count mismatch at core %d (have %d cores)", c, s.nc)
+		}
+		switch {
+		case st.State[c] > StateOff:
+			return fmt.Errorf("core: snapshot core %d has unknown state %d", c, st.State[c])
+		case int(st.EventGrp[c]) >= power.MaxSyncGroups:
+			return fmt.Errorf("core: snapshot core %d waits on event group %d, beyond the %d groups", c, st.EventGrp[c], power.MaxSyncGroups)
+		case st.TimeoutAt[c] != 0 && st.TimeoutAt[c] <= st.Cycle:
+			return fmt.Errorf("core: snapshot core %d has a sync-timeout deadline at cycle %d, not after the snapshot cycle %d", c, st.TimeoutAt[c], st.Cycle)
 		}
 	}
 	if len(s.pending) > 0 {

@@ -92,8 +92,10 @@ type Options struct {
 	// the session runs on this point's behalf and emits probe/verify/
 	// measure phase spans. Observation only: solved points, counters and
 	// measurements are bit-identical with or without it, and all fast-path
-	// engines stay engaged (unlike the tracer). A sweep's worker pool may
-	// share one sink; it is internally synchronized.
+	// engines stay engaged. With Exact set, every simulated cycle is
+	// stepped and its core-state and sync-op events land on the timeline
+	// too. A sweep's worker pool may share one sink; it is internally
+	// synchronized.
 	Obs *obs.Sink
 }
 

@@ -242,35 +242,20 @@ func (s *Session) count(f func(*SessionStats)) {
 	s.mu.Unlock()
 }
 
-// ffMark is a platform's fast-forward odometer reading, taken before a
-// session-driven run so recordFF can accumulate just that run's work
-// (restored platforms carry their snapshot's idle-leap counters).
-type ffMark struct {
-	leaps, skipped, spinLeaps, spinSkipped uint64
-	blockRuns, blockCycles                 uint64
-	mcStrides, mcCycles                    uint64
-}
-
-func markFF(p *platform.Platform) ffMark {
-	return ffMark{
-		p.FFLeaps(), p.FFSkippedCycles(), p.SpinLeaps(), p.SpinSkippedCycles(),
-		p.BlockRuns(), p.BlockCycles(),
-		p.BlockMCStrides(), p.BlockMCCycles(),
-	}
-}
-
-// recordFF accumulates the fast-forward and block-engine work p performed
-// since m into the session statistics.
-func (s *Session) recordFF(p *platform.Platform, m ffMark) {
+// recordFF accumulates the fast-forward and block-engine work of p into the
+// session statistics. Every platform a session runs is a fresh fork or
+// restore, whose engine odometers start at zero, so each platform's totals
+// are added once, after its last run.
+func (s *Session) recordFF(p *platform.Platform) {
 	s.count(func(st *SessionStats) {
-		st.FFLeaps += p.FFLeaps() - m.leaps
-		st.FFSkippedCycles += p.FFSkippedCycles() - m.skipped
-		st.SpinLeaps += p.SpinLeaps() - m.spinLeaps
-		st.SpinSkippedCycles += p.SpinSkippedCycles() - m.spinSkipped
-		st.BlockRuns += p.BlockRuns() - m.blockRuns
-		st.BlockCycles += p.BlockCycles() - m.blockCycles
-		st.BlockMCStrides += p.BlockMCStrides() - m.mcStrides
-		st.BlockMCCycles += p.BlockMCCycles() - m.mcCycles
+		st.FFLeaps += p.FFLeaps()
+		st.FFSkippedCycles += p.FFSkippedCycles()
+		st.SpinLeaps += p.SpinLeaps()
+		st.SpinSkippedCycles += p.SpinSkippedCycles()
+		st.BlockRuns += p.BlockRuns()
+		st.BlockCycles += p.BlockCycles()
+		st.BlockMCStrides += p.BlockMCStrides()
+		st.BlockMCCycles += p.BlockMCCycles()
 	})
 }
 
@@ -445,9 +430,8 @@ func (s *Session) runProbe(ctx context.Context, app string, demandArch power.Arc
 	if opts.Obs != nil {
 		p.SetObserver(opts.Obs)
 	}
-	m := markFF(p)
 	err = p.RunSeconds(opts.ProbeDuration)
-	s.recordFF(p, m)
+	s.recordFF(p)
 	if opts.Obs != nil && err == nil {
 		opts.Obs.Phase(fmt.Sprintf("probe %s/%v", app, demandArch), 0, p.Cycle(), 0)
 	}
@@ -596,8 +580,7 @@ const verifyChunks = 64
 func (s *Session) verify(pp *platform.Platform, seconds float64) (bool, error) {
 	total := pp.CyclesFor(seconds)
 	chunk := total/verifyChunks + 1
-	m := markFF(pp)
-	defer func() { s.recordFF(pp, m) }()
+	defer s.recordFF(pp)
 	for pp.Cycle() < total {
 		n := chunk
 		if rem := total - pp.Cycle(); rem < n {
@@ -695,9 +678,8 @@ func (s *Session) measure(ctx context.Context, v *apps.Variant, app string, arch
 			// reference's RunSeconds would have stopped at the halt, so
 			// continuing would step (and sample) past it.
 			if !pp.AllHalted() {
-				m := markFF(pp)
 				err := pp.Run(total - pp.Cycle())
-				s.recordFF(pp, m)
+				s.recordFF(pp)
 				if err != nil {
 					return MeasureOutcome{}, fmt.Errorf("exp: %s/%v measure: %w", app, arch, err)
 				}
@@ -730,9 +712,8 @@ func (s *Session) measure(ctx context.Context, v *apps.Variant, app string, arch
 		if opts.Obs != nil {
 			p.SetObserver(opts.Obs)
 		}
-		m := markFF(p)
 		err = p.RunSeconds(opts.Duration)
-		s.recordFF(p, m)
+		s.recordFF(p)
 		if err != nil {
 			return MeasureOutcome{}, fmt.Errorf("exp: %s/%v measure: %w", app, arch, err)
 		}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"repro/internal/isa"
 )
 
 // The Chrome trace-event export maps the timeline onto Perfetto's
@@ -47,6 +49,10 @@ func eventArgs(ev Event) map[string]any {
 		return map[string]any{"instrs": ev.Arg1, "cores": ev.Arg2}
 	case KindPhase:
 		return map[string]any{"cycles": ev.Dur}
+	case KindCoreState:
+		return map[string]any{"state": stateNames[ev.Arg1]}
+	case KindSyncOp:
+		return map[string]any{"op": isa.Opcode(ev.Arg1).String(), "operand": ev.Arg2}
 	default:
 		return nil
 	}

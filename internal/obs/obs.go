@@ -1,14 +1,12 @@
 // Package obs is the observability layer: a cycle-stamped event timeline
 // and a metrics registry that can watch a simulation without changing it.
 //
-// The package exists because the instruction tracer cannot: attaching a
-// trace.Recorder disables the spin fast-forward and block engines, so the
-// tracer can never observe the system in its real operating mode. The
-// timeline takes the opposite contract. It records only boundary events
-// that every engine already crosses — core wake/sleep/halt, barrier
-// arrive/release, sync-timeout fire, ADC sample publication, and one span
-// per idle leap / spin leap / block stride — so all three fast paths stay
-// engaged and a timeline-enabled run is bit-identical to a disabled one.
+// A fast run records only boundary events that every engine already
+// crosses — core wake/sleep/halt, barrier arrive/release, sync-timeout
+// fire, ADC sample publication, and one span per idle leap / spin leap /
+// block stride — so all four fast paths stay engaged and an observed run is
+// bit-identical to an unobserved one. Exact cycles are all stepped, so they
+// also record each core's state changes and synchronization instructions.
 //
 // The disabled path is free. Every emit method is defined on the concrete
 // *Sink pointer and tolerates a nil receiver, so an unobserved call site
@@ -59,7 +57,24 @@ const (
 	// measure) spanning Dur cycles of the forked platform's clock;
 	// Label carries the phase and point being solved.
 	KindPhase
+	// KindCoreState marks a core's new pipeline state on an exact cycle
+	// (Track/ID = core, Arg1 = a State code).
+	KindCoreState
+	// KindSyncOp marks a SINC, SDEC, SNOP or SEVS, or a SLEEP that fell
+	// through, on an exact cycle (Track/ID = core, Arg1 = isa.Opcode,
+	// Arg2 = the instruction's sync operand).
+	KindSyncOp
 )
+
+// Core-state codes of KindCoreState events; halting records a halt instant.
+const (
+	StateIdle int64 = iota
+	StateExec
+	StateStall
+	StateBubble
+)
+
+var stateNames = [...]string{"idle", "exec", "stall", "bubble"}
 
 var kindNames = [...]string{
 	KindWake:           "wake",
@@ -73,6 +88,8 @@ var kindNames = [...]string{
 	KindSpinLeap:       "spin-leap",
 	KindBlockStride:    "block-stride",
 	KindPhase:          "phase",
+	KindCoreState:      "core-state",
+	KindSyncOp:         "sync-op",
 }
 
 func (k Kind) String() string {

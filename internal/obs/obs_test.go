@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/internal/isa"
 )
 
 func TestTimelineRing(t *testing.T) {
@@ -178,6 +180,8 @@ func TestChromeTraceSchema(t *testing.T) {
 	s.Instant(KindBarrierRelease, TrackSync, 0, 151, 3, 0b11)
 	s.Instant(KindWake, TrackCore, 1, 151, 0, 0)
 	s.Instant(KindADCSample, TrackADC, 2, 160, 1, 0)
+	s.Instant(KindSyncOp, TrackCore, 1, 170, int64(isa.OpSDEC), 3)
+	s.Instant(KindCoreState, TrackCore, 1, 171, StateBubble, 0)
 	s.Phase("measure ecg/MC", 0, 200, 0)
 
 	var buf bytes.Buffer
@@ -237,13 +241,24 @@ func TestChromeTraceSchema(t *testing.T) {
 		}
 	}
 	// Track families map to distinct pids, rows to tids.
+	exported := map[string]bool{}
 	for _, te := range doc.TraceEvents {
+		exported[te.Name] = true
 		if te.Name == "barrier-arrive" && (te.Pid != trackPid(TrackSync) || te.Tid != 0) {
 			t.Fatalf("barrier-arrive on pid=%d tid=%d", te.Pid, te.Tid)
 		}
 		if te.Name == "sleep" && (te.Pid != trackPid(TrackCore) || te.Tid != 1) {
 			t.Fatalf("sleep on pid=%d tid=%d", te.Pid, te.Tid)
 		}
+		if te.Name == "sync-op" && (te.Args["op"] != "sdec" || te.Args["operand"] != 3.0) {
+			t.Fatalf("sync-op args = %v", te.Args)
+		}
+		if te.Name == "core-state" && te.Args["state"] != "bubble" {
+			t.Fatalf("core-state args = %v", te.Args)
+		}
+	}
+	if !exported["sync-op"] || !exported["core-state"] {
+		t.Fatal("exact-cycle events missing from the export")
 	}
 	if strings.Count(buf.String(), "idle-leap") != 1 {
 		t.Fatal("idle leap must export as a single span event")

@@ -46,8 +46,7 @@
 //     (dedicated register file with platform side effects), faulting
 //     fetches and data accesses (Step re-runs the cycle and faults with
 //     exact-mode accounting). Under contention only a granted fetch counts:
-//     a core that loses arbitration to such an instruction simply stalls;
-//   - no event tracer is attached (the gate mirrors the spin engine's).
+//     a core that loses arbitration to such an instruction simply stalls.
 //
 // The one regime deliberately left to others is the short busy-wait loop:
 // executing a spin loop instruction-by-instruction — even cheaply — is

@@ -7,7 +7,6 @@ import (
 	"repro/internal/asm"
 	"repro/internal/interco"
 	"repro/internal/isa"
-	"repro/internal/trace"
 )
 
 // enc builds one encoded instruction word for hand-assembled programs.
@@ -62,8 +61,8 @@ func diffImage(words []isa.Word, nsync int) *Image {
 	return img
 }
 
-// runDiffPair runs one image through both engines (no tracer: the regime in
-// which the block engine engages) and returns the platforms and Run errors.
+// runDiffPair runs one image through both engines and returns the platforms
+// and Run errors.
 func runDiffPair(t *testing.T, img *Image, budget uint64) (exact, fast *Platform, exactErr, fastErr error) {
 	t.Helper()
 	build := func(exactMode bool) (*Platform, error) {
@@ -91,11 +90,7 @@ func assertDiffIdentical(t *testing.T, exact, fast *Platform, exactErr, fastErr 
 	if exactErr != nil && exactErr.Error() != fastErr.Error() {
 		t.Errorf("fault messages diverge:\nexact: %v\nfast:  %v", exactErr, fastErr)
 	}
-	assertIdenticalNoTrace(t, exact, fast)
-	ev, fv := exact.Violations(), fast.Violations()
-	if len(ev) != len(fv) {
-		t.Errorf("violations diverge: exact %v, fast %v", ev, fv)
-	}
+	assertIdentical(t, exact, fast)
 	for addr := uint16(256); addr < 264; addr++ {
 		e, eok := exact.PeekData(0, addr)
 		f, fok := fast.PeekData(0, addr)
@@ -312,7 +307,7 @@ func TestBlockEngineSnapshotMidStrideMC(t *testing.T) {
 				if err := p.Run(total - first); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				assertIdenticalNoTrace(t, exact, p)
+				assertIdentical(t, exact, p)
 				if p.BlockMCStrides() == 0 {
 					t.Errorf("%s: multi-core strides never re-engaged after the boundary", name)
 				}
@@ -376,34 +371,10 @@ func TestBlockEngineSnapshotMidBlock(t *testing.T) {
 		if err := p.Run(total - first); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		assertIdenticalNoTrace(t, exact, p)
+		assertIdentical(t, exact, p)
 		if v, _ := exact.PeekData(0, 256); func() uint16 { w, _ := p.PeekData(0, 256); return w }() != v {
 			t.Errorf("%s: kernel output diverges", name)
 		}
-	}
-}
-
-// TestBlockEngineTracerInhibits: with an event recorder attached the block
-// engine must stay off (block stretches are not trace-silent in general),
-// and the traced fast run stays bit-identical to the traced exact run.
-func TestBlockEngineTracerInhibits(t *testing.T) {
-	build := func(exactMode bool) *Platform {
-		cfg := scCfg()
-		cfg.Exact = exactMode
-		p, err := New(cfg, blockKernelImage())
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.SetTracer(trace.NewRecorder(1 << 16))
-		if err := p.Run(10_000); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	exact, fast := build(true), build(false)
-	assertIdentical(t, exact, fast)
-	if fast.BlockCycles() != 0 {
-		t.Errorf("block engine executed %d cycles with a tracer attached, want 0", fast.BlockCycles())
 	}
 }
 
@@ -444,7 +415,7 @@ func TestBlockEngineYieldsSpinLoops(t *testing.T) {
 	if err := fast.Run(budget); err != nil {
 		t.Fatal(err)
 	}
-	assertIdenticalNoTrace(t, exact, fast)
+	assertIdentical(t, exact, fast)
 	if fast.SpinSkippedCycles() < budget/2 {
 		t.Errorf("spin engine skipped only %d of %d cycles; the block engine must yield spin loops",
 			fast.SpinSkippedCycles(), budget)
@@ -516,8 +487,8 @@ func nonIdleCycles(p *Platform) uint64 { return p.Cycle() - p.FFSkippedCycles() 
 // iteration of every later entry — bit-identically.
 func TestBlockEngineCountedLoopSC(t *testing.T) {
 	mk := func(t *testing.T) *Image { return countedLoopImage(t, 1) }
-	exact, fast := runModesUntraced(t, scCfg(), mk, 60_000)
-	assertIdenticalNoTrace(t, exact, fast)
+	exact, fast := runModes(t, scCfg(), mk, 60_000)
+	assertIdentical(t, exact, fast)
 	v, _ := exact.PeekData(0, 1216)
 	if w, _ := fast.PeekData(0, 1216); w != v {
 		t.Error("kernel output diverges")
@@ -553,7 +524,7 @@ func TestBlockEngineCountedLoopSC(t *testing.T) {
 	if err := p.Run(40_000); err != nil {
 		t.Fatal(err)
 	}
-	assertIdenticalNoTrace(t, exact, p)
+	assertIdentical(t, exact, p)
 }
 
 // TestBlockEngineCountedLoopMC: the same counted loop in lock-step on three
@@ -562,8 +533,8 @@ func TestBlockEngineCountedLoopSC(t *testing.T) {
 // yield has its verdict.
 func TestBlockEngineCountedLoopMC(t *testing.T) {
 	mk := func(t *testing.T) *Image { return countedLoopImage(t, 3) }
-	exact, fast := runModesUntraced(t, mcCfg(), mk, 60_000)
-	assertIdenticalNoTrace(t, exact, fast)
+	exact, fast := runModes(t, mcCfg(), mk, 60_000)
+	assertIdentical(t, exact, fast)
 	for c := 0; c < 3; c++ {
 		v, _ := exact.PeekData(c, 1216)
 		if w, _ := fast.PeekData(c, 1216); w != v {
@@ -612,8 +583,8 @@ gap:
 		return buildImage(t, 0x2000, 0, []string{poller, producer}, []int{0, isa.IMBankWords},
 			[]DataSeg{{Base: 200, Words: []uint16{0}}})
 	}
-	exact, fast := runModesUntraced(t, mcCfg(), mk, budget)
-	assertIdenticalNoTrace(t, exact, fast)
+	exact, fast := runModes(t, mcCfg(), mk, budget)
+	assertIdentical(t, exact, fast)
 	if fast.CoreRegs(1)[2] != 3 {
 		t.Fatal("producer did not finish its three rewrites")
 	}
@@ -708,8 +679,8 @@ func heldFetchCycle(t *testing.T, img *Image, from uint64) uint64 {
 // one bank must still run on strides, each cycle arbitrated as Step would
 // arbitrate it, with the conflict counters bit-identical to -exact.
 func TestBlockEngineContendedStride(t *testing.T) {
-	exact, fast := runModesUntraced(t, mcCfg(), contendedImage, 60_000)
-	assertIdenticalNoTrace(t, exact, fast)
+	exact, fast := runModes(t, mcCfg(), contendedImage, 60_000)
+	assertIdentical(t, exact, fast)
 	if !reflect.DeepEqual(exact.dmem.Snapshot().Words, fast.dmem.Snapshot().Words) {
 		t.Error("data memory diverges")
 	}
@@ -730,7 +701,7 @@ func TestBlockEngineContendedStride(t *testing.T) {
 // exact one.
 func TestBlockEngineContendedEveryPhase(t *testing.T) {
 	const warm, total = 1024, 4000
-	exact, _ := runModesUntraced(t, mcCfg(), contendedImage, total)
+	exact, _ := runModes(t, mcCfg(), contendedImage, total)
 	for k := uint64(0); k < interco.PhasePeriod; k++ {
 		p, err := New(mcCfg(), contendedImage(t))
 		if err != nil {
@@ -754,7 +725,7 @@ func TestBlockEngineContendedEveryPhase(t *testing.T) {
 		if err := p.Run(total - warm - k - interco.PhasePeriod); err != nil {
 			t.Fatal(err)
 		}
-		assertIdenticalNoTrace(t, exact, p)
+		assertIdentical(t, exact, p)
 	}
 }
 
@@ -822,7 +793,7 @@ poll:
 		return buildImage(t, 0x2000, 0, []string{worker, poller}, []int{0, isa.IMBankWords},
 			[]DataSeg{{Base: 200, Words: []uint16{0}}})
 	}
-	exact, _ := runModesUntraced(t, mcCfg(), mk, budget)
+	exact, _ := runModes(t, mcCfg(), mk, budget)
 	release := uint64(exact.CoreRegs(1)[8])
 	if release < 3000 {
 		t.Fatalf("poller released at cycle %d, want several thousand cycles of work first", release)
@@ -841,7 +812,7 @@ poll:
 	if err := fast.Run(budget - release); err != nil {
 		t.Fatal(err)
 	}
-	assertIdenticalNoTrace(t, exact, fast)
+	assertIdentical(t, exact, fast)
 	if got := uint64(fast.CoreRegs(1)[8]); got != release {
 		t.Errorf("poller left its loop at cycle %d, exact run at %d", got, release)
 	}

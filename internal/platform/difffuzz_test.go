@@ -262,7 +262,7 @@ func assertFuzzIdentical(t *testing.T, exact, fast *Platform, exactErr, fastErr 
 	if exactErr != nil && exactErr.Error() != fastErr.Error() {
 		t.Errorf("fault messages diverge:\nexact: %v\nfast:  %v", exactErr, fastErr)
 	}
-	assertIdenticalNoTrace(t, exact, fast)
+	assertIdentical(t, exact, fast)
 	if !reflect.DeepEqual(exact.Debug(), fast.Debug()) {
 		t.Error("debug streams diverge")
 	}

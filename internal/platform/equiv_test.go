@@ -3,14 +3,15 @@ package platform_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/ecg"
+	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/power"
 	"repro/internal/signal"
-	"repro/internal/trace"
 )
 
 // goldenDuration is the simulated time of each equivalence run, seconds.
@@ -20,7 +21,17 @@ const goldenDuration = 0.3
 // while staying cheap enough for the test suite.
 const goldenClockHz = 2e6
 
+// goldenTimelineCap holds every event of an exact golden run, core-state
+// and sync-op events included (up to about 190 000 on the SC and MC cells).
+const goldenTimelineCap = 1 << 19
+
 func runGolden(t *testing.T, app string, arch power.Arch, exact bool) (*apps.Variant, *platform.Platform) {
+	t.Helper()
+	return runGoldenSource(t, app, arch, goldenSource(t, app), exact)
+}
+
+// goldenSource synthesizes the seed-1 record the golden runs consume.
+func goldenSource(t *testing.T, app string) *signal.Source {
 	t.Helper()
 	cfg := ecg.DefaultConfig()
 	cfg.Seed = 1
@@ -31,10 +42,21 @@ func runGolden(t *testing.T, app string, arch power.Arch, exact bool) (*apps.Var
 	if err != nil {
 		t.Fatal(err)
 	}
-	return runGoldenSource(t, app, arch, signal.FromECG(sig), exact)
+	return signal.FromECG(sig)
 }
 
 func runGoldenSource(t *testing.T, app string, arch power.Arch, src *signal.Source, exact bool) (*apps.Variant, *platform.Platform) {
+	t.Helper()
+	v, p := goldenPlatform(t, app, arch, src)
+	p.SetExact(exact)
+	if err := p.RunSeconds(goldenDuration); err != nil {
+		t.Fatal(err)
+	}
+	return v, p
+}
+
+// goldenPlatform builds the golden configuration with a timeline attached.
+func goldenPlatform(t *testing.T, app string, arch power.Arch, src *signal.Source) (*apps.Variant, *platform.Platform) {
 	t.Helper()
 	v, err := apps.Build(app, arch)
 	if err != nil {
@@ -44,17 +66,13 @@ func runGoldenSource(t *testing.T, app string, arch power.Arch, src *signal.Sour
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.SetExact(exact)
-	p.SetTracer(trace.NewRecorder(1 << 16))
-	if err := p.RunSeconds(goldenDuration); err != nil {
-		t.Fatal(err)
-	}
+	p.SetObserver(obs.NewSink(obs.NewTimeline(goldenTimelineCap), nil))
 	return v, p
 }
 
 // assertEquivalent asserts that the exact and fast-forwarded runs of one
 // configuration are observably bit-identical: counters, per-core state,
-// debug and error streams, and the full event trace.
+// debug and error streams, and the timeline's boundary instants.
 func assertEquivalent(t *testing.T, v *apps.Variant, exact, fast *platform.Platform) {
 	t.Helper()
 	if *exact.Counters() != *fast.Counters() {
@@ -88,30 +106,32 @@ func assertEquivalent(t *testing.T, v *apps.Variant, exact, fast *platform.Platf
 		t.Errorf("error streams diverge: exact %d entries, fast %d",
 			len(exact.ErrCodes()), len(fast.ErrCodes()))
 	}
-	ev, fv := exact.Tracer().Events(), fast.Tracer().Events()
-	if len(ev) != len(fv) {
-		t.Errorf("trace lengths diverge: exact %d events, fast %d", len(ev), len(fv))
+	if n := exact.Observer().Timeline().Dropped(); n != 0 {
+		t.Fatalf("exact timeline dropped %d events: raise goldenTimelineCap", n)
+	}
+	ev, fv := platform.BoundaryEvents(exact.Observer().Events()), platform.BoundaryEvents(fast.Observer().Events())
+	if len(ev) == 0 || len(ev) != len(fv) {
+		t.Errorf("boundary events diverge: exact %d, fast %d", len(ev), len(fv))
 	}
 	for i := 0; i < len(ev) && i < len(fv); i++ {
 		if ev[i] != fv[i] {
-			t.Errorf("trace diverges at event %d:\nexact: %s\nfast:  %s",
-				i, ev[i].String(), fv[i].String())
+			t.Errorf("boundary event %d diverges:\nexact: %+v\nfast:  %+v", i, ev[i], fv[i])
 			break
 		}
 	}
 	if exact.FFSkippedCycles() != 0 {
 		t.Errorf("exact mode skipped %d cycles, want 0", exact.FFSkippedCycles())
 	}
-	if fast.FFSkippedCycles() == 0 {
+	if fast.FFSkippedCycles()+fast.SpinSkippedCycles() == 0 {
 		t.Error("fast-forward never engaged")
 	}
 }
 
-// TestGoldenEquivalence asserts that the idle fast-forward engine is
-// semantically invisible on every benchmark application and architecture:
-// counters (hence Table I / Figures 6-7 inputs), per-core state, debug and
-// error streams, and the full event trace are bit-identical to the exact
-// cycle-by-cycle simulation.
+// TestGoldenEquivalence asserts that the fast paths are semantically
+// invisible on every benchmark application and architecture: counters
+// (hence Table I / Figures 6-7 inputs), per-core state, debug and error
+// streams, and the timeline's boundary instants are bit-identical to the
+// exact cycle-by-cycle simulation.
 func TestGoldenEquivalence(t *testing.T) {
 	archs := []power.Arch{power.SC, power.MC}
 	for _, app := range apps.Names {
@@ -155,6 +175,93 @@ func TestGoldenEquivalenceMultiRate(t *testing.T) {
 			}
 			if viol := fast.Violations(); len(viol) > 0 {
 				t.Errorf("multi-rate run recorded sync violations: %v", viol)
+			}
+		})
+	}
+}
+
+// TestTraceWindowMatchesExactRun steps two windows of cycles exactly inside
+// an otherwise fast run, as wbsn-sim -trace-window does for one. The
+// windows' core-state and sync-op events must equal those of a whole-run
+// exact trace over the same cycles, apart from each window's opening record
+// of every core's state, and none may fall outside the windows. The second
+// window follows an exact and a fast stretch, so its opening record pins
+// that SetExact forgets the states recorded before the fast one. The runs
+// stop short of goldenDuration: busy-waiting cores change state every few
+// cycles, and the whole-run exact trace must fit the ring.
+func TestTraceWindowMatchesExactRun(t *testing.T) {
+	const n, total = 20_000, 320_000
+	windows := []uint64{250_000, 290_000}
+	traced := func(events []obs.Event) (opening, rest, outside []obs.Event) {
+		for _, e := range events {
+			if e.Kind != obs.KindCoreState && e.Kind != obs.KindSyncOp {
+				continue
+			}
+			in, first := false, false
+			for _, w := range windows {
+				in = in || (e.Cycle >= w && e.Cycle < w+n)
+				first = first || e.Cycle == w
+			}
+			switch {
+			case !in:
+				outside = append(outside, e)
+			case first && e.Kind == obs.KindCoreState:
+				opening = append(opening, e)
+			default:
+				rest = append(rest, e)
+			}
+		}
+		return opening, rest, outside
+	}
+	for _, arch := range []power.Arch{power.MC, power.MCNoSync} {
+		arch := arch
+		t.Run(arch.String(), func(t *testing.T) {
+			src := goldenSource(t, apps.MMD3L)
+			v, whole := goldenPlatform(t, apps.MMD3L, arch, src)
+			whole.SetExact(true)
+			if err := whole.Run(total); err != nil {
+				t.Fatal(err)
+			}
+			_, p := goldenPlatform(t, apps.MMD3L, arch, src)
+			for _, seg := range []struct {
+				until uint64
+				exact bool
+			}{
+				{windows[0] - 1, false}, {windows[0] + n - 1, true},
+				{windows[1] - 1, false}, {windows[1] + n - 1, true},
+				{total, false},
+			} {
+				p.SetExact(seg.exact)
+				if err := p.Run(seg.until - p.Cycle()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			assertEquivalent(t, v, whole, p)
+
+			wOpen, wRest, _ := traced(whole.Observer().Events())
+			gOpen, gRest, outside := traced(p.Observer().Events())
+			if len(outside) > 0 {
+				t.Errorf("%d core-state/sync-op events outside the windows, first %+v", len(outside), outside[0])
+			}
+			if want := len(windows) * v.Cores; len(gOpen) != want {
+				t.Errorf("windows open with %d core-state events, want one per core and window (%d)", len(gOpen), want)
+			}
+			for _, e := range wOpen {
+				if !slices.Contains(gOpen, e) {
+					t.Errorf("whole-run event %+v missing from a window's opening record", e)
+				}
+			}
+			if len(wRest) == 0 || !reflect.DeepEqual(wRest, gRest) {
+				t.Errorf("window events diverge from the whole-run trace: whole %d, windows %d", len(wRest), len(gRest))
+			}
+			ops := 0
+			for _, e := range gRest {
+				if e.Kind == obs.KindSyncOp {
+					ops++
+				}
+			}
+			if arch == power.MC && ops == 0 {
+				t.Error("no sync-op events inside the windows of a sync-unit run")
 			}
 		})
 	}

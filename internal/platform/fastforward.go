@@ -19,14 +19,15 @@
 //     even when idle (Crossbar.AdvanceN keeps it in phase);
 //   - synchronizer: Commit updates its cycle stamp every cycle, which wake
 //     latencies are computed from (Synchronizer.FastForward);
-//   - traces and debug output: transitions only fire at stepped cycles, and
-//     a leap is gated on the previous cycle already being idle, so the
-//     classification is constant across the skipped range;
+//   - debug output and timeline events: nothing fires inside a quiescent
+//     stretch, and a leap is gated on the previous cycle already being
+//     idle, so the classification is constant across the skipped range;
 //   - ADC: the leap never crosses NextEventCycle, where Tick is a no-op.
 //
 // The golden-equivalence suite (equiv_test.go) enforces bit-identical
-// counters, traces, debug streams and architectural state between this path
-// and the exact one across all three benchmark applications.
+// counters, timeline boundary events, debug streams and architectural state
+// between this path and the exact one across all three benchmark
+// applications.
 package platform
 
 import (
@@ -38,16 +39,17 @@ import (
 
 // Run simulates up to n further cycles, stopping early when every core has
 // halted or a fault occurs. Unless the platform is in exact mode, quiescent
-// stretches are leapt over in bulk, and — when no event tracer is attached —
-// proven-periodic spin-loop stretches too (spinff.go), while every other
-// stretch with a core at work — one core in straight-line code, or N ≥ 2
-// running cores, their bank conflicts arbitrated cycle by cycle and any
-// busy-waiting pollers carried along — executes on the basic-block fast
-// path (blockengine.go). Step simulates only the cycles no engine can
-// reproduce: sync ISE, HALT, MMIO, faults and the spin engine's probes. The
-// observable behaviour is identical either way.
+// and proven-periodic spin-loop stretches are leapt over in bulk
+// (spinff.go), while every other stretch with a core at work — one core in
+// straight-line code, or N ≥ 2 running cores, their bank conflicts
+// arbitrated cycle by cycle and any busy-waiting pollers carried along —
+// executes on the basic-block fast path (blockengine.go). Step simulates
+// only the cycles no engine can reproduce: sync ISE, HALT, MMIO, faults and
+// the spin engine's probes. The observable behaviour is identical either
+// way, and neither the chunking of a run into Run calls nor a mode switch
+// between them changes it.
 func (p *Platform) Run(n uint64) error {
-	p.spinSetTracking(!p.exact && p.tracer == nil)
+	p.spinSetTracking(!p.exact)
 	limit := p.cycle + n
 	for p.cycle < limit {
 		if !p.exact && p.lastCycleIdle {
@@ -57,8 +59,8 @@ func (p *Platform) Run(n uint64) error {
 			}
 		}
 		if p.spin.tracking {
-			// The block engine shares the spin engine's gate: no tracer, not
-			// exact. It only ever executes cycles Step would have executed
+			// The block engine shares the spin engine's gate: not exact. It
+			// only ever executes cycles Step would have executed
 			// identically, so it may run right up to the budget.
 			p.blockRun(limit)
 			if p.cycle >= limit {
@@ -96,7 +98,7 @@ func secondsToCycles(s, clockHz float64) uint64 {
 // which anything can happen, clamped to limit (the exclusive step budget),
 // accounting the skipped cycles in bulk. Callers must have observed a fully
 // idle stepped cycle (p.lastCycleIdle), which guarantees the skipped range
-// is classification-stable and therefore trace-silent.
+// is classification-stable and therefore event-silent.
 func (p *Platform) fastForward(limit uint64) {
 	// Run's exact semantics stop one step after full halt; never leap past
 	// that point.

@@ -4,12 +4,12 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/trace"
+	"repro/internal/obs"
 )
 
 // runModes builds two platforms from the same image — one exact, one with
-// the idle fast-forward engine — runs both for n cycles with tracers
-// attached, and returns them for comparison.
+// every fast path engaged — runs both for n cycles with a timeline attached,
+// and returns them for comparison.
 func runModes(t *testing.T, cfg Config, mkImg func(t *testing.T) *Image, n uint64) (exact, fast *Platform) {
 	t.Helper()
 	build := func(exactMode bool) *Platform {
@@ -19,18 +19,39 @@ func runModes(t *testing.T, cfg Config, mkImg func(t *testing.T) *Image, n uint6
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.SetTracer(trace.NewRecorder(1 << 16))
+		p.SetObserver(obs.NewSink(obs.NewTimeline(obs.DefaultTimelineCap), nil))
 		if err := p.Run(n); err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
-	return build(true), build(false)
+	exact, fast = build(true), build(false)
+	if exact.SpinSkippedCycles() != 0 {
+		t.Errorf("exact mode spin-skipped %d cycles, want 0", exact.SpinSkippedCycles())
+	}
+	return exact, fast
+}
+
+// BoundaryEvents returns the timeline's instants that every engine records:
+// it leaves out the fast paths' spans and the exact cycles' core-state and
+// sync-op events. It is exported for the golden tests in package
+// platform_test.
+func BoundaryEvents(events []obs.Event) []obs.Event {
+	var out []obs.Event
+	for _, e := range events {
+		switch e.Kind {
+		case obs.KindIdleLeap, obs.KindSpinLeap, obs.KindBlockStride, obs.KindPhase, obs.KindCoreState, obs.KindSyncOp:
+		default:
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // assertIdentical checks every observable output of the two runs for
 // bit-identity: counters, cycle position, architectural core state, debug
-// and error streams, sample-window statistics and the full event trace.
+// and error streams, violations, sample-window statistics and, when both
+// platforms carry a timeline, its boundary instants.
 func assertIdentical(t *testing.T, exact, fast *Platform) {
 	t.Helper()
 	if *exact.Counters() != *fast.Counters() {
@@ -65,13 +86,20 @@ func assertIdentical(t *testing.T, exact, fast *Platform) {
 	if !reflect.DeepEqual(exact.Violations(), fast.Violations()) {
 		t.Errorf("violations diverge: exact %v, fast %v", exact.Violations(), fast.Violations())
 	}
-	ev, fv := exact.Tracer().Events(), fast.Tracer().Events()
+	etl, ftl := exact.Observer().Timeline(), fast.Observer().Timeline()
+	if etl == nil || ftl == nil {
+		return
+	}
+	if etl.Dropped() != 0 || ftl.Dropped() != 0 {
+		t.Fatalf("timeline ring overflowed (exact dropped %d, fast %d): enlarge it", etl.Dropped(), ftl.Dropped())
+	}
+	ev, fv := BoundaryEvents(etl.Events()), BoundaryEvents(ftl.Events())
 	if len(ev) != len(fv) {
-		t.Errorf("trace lengths diverge: exact %d events, fast %d", len(ev), len(fv))
+		t.Errorf("boundary events diverge: exact %d, fast %d", len(ev), len(fv))
 	}
 	for i := 0; i < len(ev) && i < len(fv); i++ {
 		if ev[i] != fv[i] {
-			t.Errorf("trace diverges at event %d: exact %q, fast %q", i, ev[i].String(), fv[i].String())
+			t.Errorf("boundary event %d diverges:\nexact: %+v\nfast:  %+v", i, ev[i], fv[i])
 			break
 		}
 	}

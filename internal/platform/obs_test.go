@@ -25,8 +25,8 @@ func countKind(events []obs.Event, kind obs.Kind) int {
 }
 
 // TestObserverSpinLeapParity: attaching the sink must not change a single
-// observable output of the busy-wait run — and, unlike the tracer, must not
-// disengage the spin engine. Every leap lands on the timeline as one span
+// observable output of the busy-wait run — and must not disengage the spin
+// engine. Every leap lands on the timeline as one span
 // whose duration is exactly period x iterations, and the skipped-cycle sum
 // reconciles with the engine's own statistics.
 func TestObserverSpinLeapParity(t *testing.T) {
@@ -49,7 +49,7 @@ func TestObserverSpinLeapParity(t *testing.T) {
 	if err := observed.Run(40_000); err != nil {
 		t.Fatal(err)
 	}
-	assertIdenticalNoTrace(t, plain, observed)
+	assertIdentical(t, plain, observed)
 	if e, f := plain.SpinSkippedCycles(), observed.SpinSkippedCycles(); e != f || f == 0 {
 		t.Fatalf("spin engagement diverges under observation: plain %d, observed %d", e, f)
 	}
@@ -217,7 +217,9 @@ func TestObserverAdoptResets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.SetObserver(newObsSink())
+	// Registry-only sinks: the ADC stamps restart on Restore, so the two
+	// timelines' sample counts legitimately differ after it.
+	p.SetObserver(obs.NewSink(nil, obs.NewRegistry()))
 	if err := p.Run(12_000); err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +232,7 @@ func TestObserverAdoptResets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q.SetObserver(newObsSink())
+	q.SetObserver(obs.NewSink(nil, obs.NewRegistry()))
 	if err := q.Run(12_000); err != nil {
 		t.Fatal(err)
 	}
@@ -255,5 +257,81 @@ func TestObserverAdoptResets(t *testing.T) {
 	if err := q.Run(28_000); err != nil {
 		t.Fatal(err)
 	}
-	assertIdenticalNoTrace(t, p, q)
+	assertIdentical(t, p, q)
+}
+
+// TestTracerCapturesSyncProtocol runs the producer-consumer program in exact
+// mode with a timeline attached and checks that the exact-cycle trace tells
+// the paper's story: SNOP registration, gated SLEEP, the producer's
+// SINC/SDEC pair, a wake, both halts, and each core's state changes, in
+// cycle order.
+func TestTracerCapturesSyncProtocol(t *testing.T) {
+	p, err := New(mcCfg(), producerConsumerImage(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SetExact(true)
+	sink := newObsSink()
+	p.SetObserver(sink)
+	if err := p.Run(10_000); err != nil {
+		t.Fatal(err)
+	}
+	if !p.AllHalted() {
+		t.Fatal("program did not finish")
+	}
+	events := sink.Events()
+	ops := map[isa.Opcode]int{}
+	states := map[int32]int{}
+	for i, e := range events {
+		if i > 0 && e.Cycle < events[i-1].Cycle {
+			t.Fatalf("events out of order at %d", i)
+		}
+		switch e.Kind {
+		case obs.KindSyncOp:
+			ops[isa.Opcode(e.Arg1)]++
+		case obs.KindCoreState:
+			states[e.ID]++
+		}
+	}
+	if ops[isa.OpSINC] == 0 || ops[isa.OpSDEC] == 0 || ops[isa.OpSNOP] == 0 {
+		t.Errorf("sync ops seen: %v, want SINC, SDEC and SNOP", ops)
+	}
+	if states[0] == 0 || states[1] == 0 {
+		t.Errorf("core-state events per core: %v, want both cores", states)
+	}
+	if countKind(events, obs.KindSleep) == 0 {
+		t.Error("no gated SLEEP recorded")
+	}
+	if countKind(events, obs.KindWake) == 0 {
+		t.Error("no wake recorded")
+	}
+	if n := countKind(events, obs.KindHalt); n != 2 {
+		t.Errorf("halt events = %d, want 2", n)
+	}
+}
+
+// TestTracerDoesNotAlterExecution runs the same exact program with and
+// without a timeline and compares every observable output.
+func TestTracerDoesNotAlterExecution(t *testing.T) {
+	run := func(sink *obs.Sink) *Platform {
+		cfg := mcCfg()
+		cfg.Exact = true
+		p, err := New(cfg, producerConsumerImage(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.SetObserver(sink)
+		if err := p.Run(10_000); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	plain, traced := run(nil), run(newObsSink())
+	assertIdentical(t, plain, traced)
+	if countKind(traced.Observer().Events(), obs.KindCoreState) == 0 {
+		t.Fatal("the exact run recorded no core-state events")
+	}
+	if sum, _ := traced.PeekData(0, 30); sum != 15 {
+		t.Errorf("consumer sum = %d, want 15", sum)
+	}
 }

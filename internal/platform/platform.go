@@ -56,7 +56,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/periph"
 	"repro/internal/power"
-	"repro/internal/trace"
 )
 
 // CodeSeg is one placed code segment of a program image.
@@ -145,13 +144,13 @@ type Platform struct {
 
 	// Idle fast-forward engine state (see fastforward.go).
 	exact         bool
-	lastCycleIdle bool   // previous stepped cycle had every core idle/halted
-	ffLeaps       uint64 // bulk leaps taken
-	ffSkipped     uint64 // cycles accounted in bulk instead of stepped
+	lastCycleIdle bool // previous stepped cycle had every core idle/halted
 
-	// stepped counts the cycles Step advanced: process state like the spin
-	// and block diagnostics, so Restore and Fork reset it.
-	stepped uint64
+	// Idle-leap and stepped-cycle odometers: process state like the spin
+	// and block diagnostics, so Restore and Fork reset them.
+	ffLeaps   uint64 // bulk leaps taken
+	ffSkipped uint64 // cycles accounted in bulk instead of stepped
+	stepped   uint64 // cycles Step advanced
 
 	// Spin-loop fast-forward engine state (see spinff.go).
 	spin spinFF
@@ -180,42 +179,25 @@ type Platform struct {
 	errCodes []DebugEntry
 	hostFlag uint16
 
-	tracer     *trace.Recorder
-	lastStatus []coreStatus
-
-	// Observability sink state (see internal/obs). Unlike the tracer the
-	// sink records only boundary events, so attaching one leaves all
-	// three fast-path engines engaged and the simulated results
-	// bit-identical. obsWait and obsADC are process state like the
-	// spin/block diagnostics: reset on adopt(), never snapshotted.
-	obs     *obs.Sink
-	obsWait []uint64                      // per-core barrier-arrival cycle stamp (0 = none)
-	obsADC  [periph.NumADCChannels]uint64 // per-channel published-sample count
+	// Observability sink state (see internal/obs): process state like the
+	// spin/block diagnostics, reset on adopt(), never snapshotted.
+	obs      *obs.Sink
+	obsWait  []uint64                      // per-core barrier-arrival cycle stamp (0 = none)
+	obsADC   [periph.NumADCChannels]uint64 // per-channel published-sample count
+	obsState []int64                       // per-core last recorded core-state code
 
 	fault error
 }
 
-// SetTracer attaches an event recorder (nil detaches). Tracing records core
-// state transitions, sync operations, sleeps, wakes, interrupts and ADC
-// samples; it does not alter timing.
-func (p *Platform) SetTracer(r *trace.Recorder) {
-	p.tracer = r
-	p.lastStatus = make([]coreStatus, p.ncore)
-	for i := range p.lastStatus {
-		p.lastStatus[i] = stHalted + 1 // force a first transition record
-	}
-}
-
-// Tracer returns the attached recorder, if any.
-func (p *Platform) Tracer() *trace.Recorder { return p.tracer }
-
 // SetObserver attaches an observability sink (nil detaches). The sink
 // receives boundary events — core wake/sleep/halt, barrier traffic,
 // sync timeouts, ADC sample publications, and one span per fast-path
-// leap or stride — stamped with exact simulated cycles. Attaching a sink
-// never changes simulated results and keeps all fast-path engines
-// engaged; with no sink attached the instrumentation sites cost a nil
-// check and zero allocations.
+// leap or stride — stamped with exact simulated cycles. In exact mode
+// every cycle is stepped, and the sink also receives each core's state
+// changes and every synchronization instruction (core-state and sync-op
+// events). Attaching a sink never changes simulated results and keeps all
+// fast-path engines engaged; with no sink attached the instrumentation
+// sites cost a nil check and zero allocations.
 func (p *Platform) SetObserver(s *obs.Sink) {
 	p.obs = s
 	if s != nil {
@@ -239,7 +221,19 @@ func (p *Platform) obsReset() {
 	for i := range p.obsADC {
 		p.obsADC[i] = 0
 	}
+	p.obsStateReset()
 }
+
+// obsStateReset forgets the recorded core states, so the next exact cycle
+// records every core's state.
+func (p *Platform) obsStateReset() {
+	for i := range p.obsState {
+		p.obsState[i] = -2 // matches no coreStateCode
+	}
+}
+
+// coreStateCode maps a core status onto its core-state code (-1: none).
+var coreStateCode = [...]int64{stIdle: obs.StateIdle, stExec: obs.StateExec, stIMStall: obs.StateStall, stDMStall: obs.StateStall, stBubble: obs.StateBubble, stHalted: -1}
 
 // barrierWaitName indexes the per-group barrier wait-time histograms so
 // the enabled emission path never formats strings.
@@ -343,6 +337,7 @@ func New(cfg Config, img *Image) (*Platform, error) {
 		loadVal:     make([]uint16, n),
 		memOps:      make([]cpu.MemOp, n),
 		obsWait:     make([]uint64, n),
+		obsState:    make([]int64, n), // set by SetObserver before any use
 		exact:       cfg.Exact,
 	}
 	p.sync = core.NewSynchronizer(n, img.NumSyncPoints, cfg.Arch, &p.ctr)
@@ -437,13 +432,9 @@ func New(cfg Config, img *Image) (*Platform, error) {
 		p.cores[i] = cpu.New(i, entry)
 	}
 
-	// ADC wired to the synchronizer's interrupt lines (traced when a
-	// recorder is attached).
+	// ADC wired to the synchronizer's interrupt lines.
 	if cfg.SampleRateHz > 0 {
 		raise := func(mask uint16) {
-			if p.tracer != nil {
-				p.tracer.Record(p.cycle, -1, trace.KindIRQ, int32(mask), 0)
-			}
 			if p.obs != nil {
 				for ch := 0; ch < periph.NumADCChannels; ch++ {
 					if mask&(uint16(isa.IRQADC0)<<uint(ch)) != 0 {
@@ -477,17 +468,26 @@ func (p *Platform) Counters() *power.Counters { return &p.ctr }
 // SetExact forces (true) the cycle-by-cycle path for subsequent Run calls,
 // disabling all four fast paths — idle and spin fast-forward, block runs
 // and strides — or re-enables them (false). Mode switches are safe at any
-// cycle boundary: all paths maintain identical architectural state.
-func (p *Platform) SetExact(exact bool) { p.exact = exact }
+// cycle boundary: all paths maintain identical architectural state. An
+// exact stretch after a fast one opens with a record of every core's state
+// when a sink is attached.
+func (p *Platform) SetExact(exact bool) {
+	if exact && !p.exact {
+		p.obsStateReset()
+	}
+	p.exact = exact
+}
 
 // Exact reports whether the fast paths are disabled (see SetExact).
 func (p *Platform) Exact() bool { return p.exact }
 
 // FFLeaps returns how many bulk idle leaps the fast-forward engine took.
+// Like SpinLeaps it is a wall-clock diagnostic that Restore and Fork reset.
 func (p *Platform) FFLeaps() uint64 { return p.ffLeaps }
 
 // FFSkippedCycles returns how many cycles were accounted in bulk by the
-// fast-forward engine instead of being individually stepped.
+// fast-forward engine instead of being individually stepped. Restore and
+// Fork reset it.
 func (p *Platform) FFSkippedCycles() uint64 { return p.ffSkipped }
 
 // StepCycles returns how many cycles Step simulated one by one. On a

@@ -2,8 +2,8 @@
 //
 // A Snapshot deep-copies everything a run mutates — core pipelines and
 // register files, data-memory banks, the synchronizer, crossbar arbitration
-// phases, ADC sampling grids, power counters, fast-forward bookkeeping and
-// the debug/trace cursors — so a simulation can be rewound (Restore), resumed
+// phases, ADC sampling grids, power counters and the debug streams — so a
+// simulation can be rewound (Restore), resumed
 // in a later process (the versioned SnapshotFile encoding), or rehydrated
 // under a different operating point (Fork). Restoring and continuing is
 // bit-identical to having simulated straight through: Run(a) followed by
@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/periph"
 	"repro/internal/power"
@@ -44,8 +45,6 @@ type Snapshot struct {
 
 	Cycle         uint64
 	LastCycleIdle bool
-	FFLeaps       uint64
-	FFSkipped     uint64
 
 	Cores []cpu.Core
 	DM    mem.DMemState
@@ -61,10 +60,9 @@ type Snapshot struct {
 	WindowBusy    []uint32
 	MaxSampleBusy uint64
 
-	Debug      []DebugEntry
-	ErrCodes   []DebugEntry
-	HostFlag   uint16
-	LastStatus []uint8
+	Debug    []DebugEntry
+	ErrCodes []DebugEntry
+	HostFlag uint16
 
 	FaultMsg string
 }
@@ -81,8 +79,6 @@ func (p *Platform) Snapshot() *Snapshot {
 		NCore:         p.ncore,
 		Cycle:         p.cycle,
 		LastCycleIdle: p.lastCycleIdle,
-		FFLeaps:       p.ffLeaps,
-		FFSkipped:     p.ffSkipped,
 		Cores:         make([]cpu.Core, p.ncore),
 		DM:            p.dmem.Snapshot(),
 		Sync:          p.sync.Snapshot(),
@@ -107,12 +103,6 @@ func (p *Platform) Snapshot() *Snapshot {
 	}
 	if len(p.errCodes) > 0 {
 		s.ErrCodes = append([]DebugEntry(nil), p.errCodes...)
-	}
-	if p.lastStatus != nil {
-		s.LastStatus = make([]uint8, len(p.lastStatus))
-		for i, st := range p.lastStatus {
-			s.LastStatus[i] = uint8(st)
-		}
 	}
 	if p.fault != nil {
 		s.FaultMsg = p.fault.Error()
@@ -150,6 +140,11 @@ func (p *Platform) adopt(s *Snapshot) error {
 	if (s.ADC == nil) != (p.adc == nil) {
 		return fmt.Errorf("platform: snapshot and platform disagree on ADC presence")
 	}
+	for i := range s.Cores {
+		if pc := s.Cores[i].PC; pc < 0 || pc >= isa.IMWords {
+			return fmt.Errorf("platform: malformed snapshot (core %d PC %d outside instruction memory [0, %d))", i, pc, isa.IMWords)
+		}
+	}
 	if err := p.sync.Restore(s.Sync); err != nil {
 		return err
 	}
@@ -168,8 +163,6 @@ func (p *Platform) adopt(s *Snapshot) error {
 	p.dmx.SetPhase(s.DMXPhase)
 	p.cycle = s.Cycle
 	p.lastCycleIdle = s.LastCycleIdle
-	p.ffLeaps = s.FFLeaps
-	p.ffSkipped = s.FFSkipped
 	p.ctr = s.Counters
 	copy(p.perCoreBusy, s.PerCoreBusy)
 	p.lastSample = s.LastSample
@@ -178,19 +171,6 @@ func (p *Platform) adopt(s *Snapshot) error {
 	p.debug = append(p.debug[:0], s.Debug...)
 	p.errCodes = append(p.errCodes[:0], s.ErrCodes...)
 	p.hostFlag = s.HostFlag
-	if p.lastStatus != nil {
-		if len(s.LastStatus) == len(p.lastStatus) {
-			for i, st := range s.LastStatus {
-				p.lastStatus[i] = coreStatus(st)
-			}
-		} else {
-			// The snapshot was captured without a tracer: force a first
-			// transition record, as SetTracer does.
-			for i := range p.lastStatus {
-				p.lastStatus[i] = stHalted + 1
-			}
-		}
-	}
 	p.fault = nil
 	if s.FaultMsg != "" {
 		p.fault = errors.New(s.FaultMsg)
@@ -202,17 +182,17 @@ func (p *Platform) adopt(s *Snapshot) error {
 	// keeps Restore/Fork bit-identical to never having stopped while
 	// letting leap placement differ — exactly like Run-call chunking does.
 	// The block engine's yield spans, loop verdicts and engagement
-	// statistics, and the stepped-cycle count, are process state for the
-	// same reason: a restored platform re-engages from its block tables
-	// wherever the preconditions hold, on one core or many, and judges its
-	// loops anew.
+	// statistics, and the idle-leap and stepped-cycle odometers, are
+	// process state for the same reason: a restored platform re-engages
+	// from its block tables wherever the preconditions hold, on one core or
+	// many, and judges its loops anew.
 	p.spinReset()
 	p.blockReset()
-	p.stepped = 0
+	p.ffLeaps, p.ffSkipped, p.stepped = 0, 0, 0
 	// Observability stamps (barrier-arrival cycles, per-channel sample
-	// counts) are process state for the same reason: they describe this
-	// process's observation window, never simulated state, and snapshots
-	// deliberately omit them (docs/FORMATS.md).
+	// counts, recorded core states) are process state for the same reason:
+	// they describe this process's observation window, never simulated
+	// state, and snapshots deliberately omit them (docs/FORMATS.md).
 	p.obsReset()
 	return nil
 }

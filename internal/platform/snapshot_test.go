@@ -15,7 +15,7 @@ import (
 
 // snapSource synthesizes a short deterministic ECG record shared by the
 // snapshot tests.
-func snapSource(t *testing.T, app string) *signal.Source {
+func snapSource(t testing.TB, app string) *signal.Source {
 	t.Helper()
 	cfg := signal.Config{Kind: signal.KindECG, Seed: 1, PathologicalFrac: 0.2}
 	src, err := signal.Synthesize(apps.SourceConfig(app, cfg), 1.5)
@@ -25,7 +25,7 @@ func snapSource(t *testing.T, app string) *signal.Source {
 	return src
 }
 
-func newSnapPlatform(t *testing.T, app string, arch power.Arch, src *signal.Source, clockHz float64) (*apps.Variant, *platform.Platform) {
+func newSnapPlatform(t testing.TB, app string, arch power.Arch, src *signal.Source, clockHz float64) (*apps.Variant, *platform.Platform) {
 	t.Helper()
 	v, err := apps.Build(app, arch)
 	if err != nil {
@@ -70,13 +70,7 @@ func assertSameState(t *testing.T, v *apps.Variant, want, got *platform.Platform
 	if !reflect.DeepEqual(want.ErrCodes(), got.ErrCodes()) {
 		t.Errorf("error streams diverge: want %d entries, got %d", len(want.ErrCodes()), len(got.ErrCodes()))
 	}
-	ws, gs := want.Snapshot(), got.Snapshot()
-	// FFLeaps is a wall-clock diagnostic, not architectural state: a leap
-	// clamped at a Run-budget boundary is resumed as a second leap, so the
-	// count depends on how the budget was sliced. The skipped-cycle total
-	// and every architectural field must still match exactly.
-	ws.FFLeaps, gs.FFLeaps = 0, 0
-	if !reflect.DeepEqual(ws, gs) {
+	if !reflect.DeepEqual(want.Snapshot(), got.Snapshot()) {
 		t.Error("full snapshots diverge")
 	}
 }

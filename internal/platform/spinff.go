@@ -37,11 +37,9 @@
 //
 // A failed nomination or probe costs nothing but the bookkeeping: the
 // probed cycles were ordinary steps, and retries back off exponentially.
-// Event tracing inhibits this engine (unlike idle stretches, a spin loop
-// emits state-transition trace records every few cycles, which a leap
-// cannot reproduce without stepping); a platform with a tracer attached
-// simply keeps the cycle-accurate path and stays bit-identical by
-// construction.
+// A spin loop changes its cores' pipeline states every few cycles, which a
+// leap cannot record without stepping; a caller who wants those core-state
+// events runs the stretch in exact mode.
 
 package platform
 
@@ -73,8 +71,8 @@ const (
 
 // spinFF is the engine state embedded in Platform.
 type spinFF struct {
-	// tracking mirrors "!exact && no tracer" for the current Run; the
-	// per-instruction hooks in Step are gated on it.
+	// tracking mirrors "!exact" for the current Run; the per-instruction
+	// hooks in Step are gated on it.
 	tracking bool
 	track    []core.SpinTracker
 

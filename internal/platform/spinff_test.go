@@ -67,73 +67,14 @@ func busyWaitImage(t *testing.T, consumer string) *Image {
 		[]DataSeg{{Base: 200, Words: []uint16{0}}, {Base: 300, Words: []uint16{0}}})
 }
 
-// runModesUntraced runs the configuration in exact and fast mode with no
-// tracer attached — the regime in which the spin-loop engine is allowed to
-// leap.
-func runModesUntraced(t *testing.T, cfg Config, mkImg func(t *testing.T) *Image, n uint64) (exact, fast *Platform) {
-	t.Helper()
-	build := func(exactMode bool) *Platform {
-		c := cfg
-		c.Exact = exactMode
-		p, err := New(c, mkImg(t))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Run(n); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	exact, fast = build(true), build(false)
-	if exact.SpinSkippedCycles() != 0 {
-		t.Errorf("exact mode spin-skipped %d cycles, want 0", exact.SpinSkippedCycles())
-	}
-	return exact, fast
-}
-
-// assertIdenticalNoTrace checks every observable output except the event
-// trace (none is attached) for bit-identity between the two runs.
-func assertIdenticalNoTrace(t *testing.T, exact, fast *Platform) {
-	t.Helper()
-	if *exact.Counters() != *fast.Counters() {
-		t.Errorf("counters diverge:\nexact: %+v\nfast:  %+v", *exact.Counters(), *fast.Counters())
-	}
-	if e, f := exact.Cycle(), fast.Cycle(); e != f {
-		t.Errorf("cycle diverges: exact %d, fast %d", e, f)
-	}
-	for c := 0; c < exact.ncore; c++ {
-		if e, f := exact.CoreBusy(c), fast.CoreBusy(c); e != f {
-			t.Errorf("core %d busy diverges: exact %d, fast %d", c, e, f)
-		}
-		if e, f := exact.CoreState(c), fast.CoreState(c); e != f {
-			t.Errorf("core %d state diverges: exact %v, fast %v", c, e, f)
-		}
-		if e, f := exact.CoreRegs(c), fast.CoreRegs(c); e != f {
-			t.Errorf("core %d registers diverge:\nexact: %v\nfast:  %v", c, e, f)
-		}
-	}
-	if e, f := exact.MaxSampleBusy(), fast.MaxSampleBusy(); e != f {
-		t.Errorf("max sample busy diverges: exact %d, fast %d", e, f)
-	}
-	if e, f := exact.Overruns(), fast.Overruns(); e != f {
-		t.Errorf("overruns diverge: exact %d, fast %d", e, f)
-	}
-	if e, f := len(exact.Debug()), len(fast.Debug()); e != f {
-		t.Errorf("debug streams diverge: exact %d entries, fast %d", e, f)
-	}
-	if e, f := len(exact.ErrCodes()), len(fast.ErrCodes()); e != f {
-		t.Errorf("error streams diverge: exact %d entries, fast %d", e, f)
-	}
-}
-
 // TestSpinFastForwardBusyWait is the engine's canonical positive case: the
 // MC-nosync producer/consumer pair, where the consumer's poll loop used to
 // defeat quiescence detection. The spin engine must leap most of the run
 // while staying bit-identical to the exact path.
 func TestSpinFastForwardBusyWait(t *testing.T) {
 	mk := func(t *testing.T) *Image { return busyWaitImage(t, spinConsumerSrc) }
-	exact, fast := runModesUntraced(t, nosyncCfg(), mk, 40_000)
-	assertIdenticalNoTrace(t, exact, fast)
+	exact, fast := runModes(t, nosyncCfg(), mk, 40_000)
+	assertIdentical(t, exact, fast)
 	if !fast.AllHalted() {
 		t.Fatal("busy-wait pair did not complete")
 	}
@@ -164,8 +105,8 @@ spin:
 	mk := func(t *testing.T) *Image {
 		return buildImage(t, 0, 0, []string{src}, []int{0}, nil)
 	}
-	exact, fast := runModesUntraced(t, scCfg(), mk, 50_000)
-	assertIdenticalNoTrace(t, exact, fast)
+	exact, fast := runModes(t, scCfg(), mk, 50_000)
+	assertIdentical(t, exact, fast)
 	if fast.Cycle() != 50_000 {
 		t.Errorf("fast run stopped at cycle %d, want the full 50000 budget", fast.Cycle())
 	}
@@ -194,8 +135,8 @@ wait:
     halt
 `
 	mk := func(t *testing.T) *Image { return busyWaitImage(t, storingConsumer) }
-	exact, fast := runModesUntraced(t, nosyncCfg(), mk, 40_000)
-	assertIdenticalNoTrace(t, exact, fast)
+	exact, fast := runModes(t, nosyncCfg(), mk, 40_000)
+	assertIdentical(t, exact, fast)
 	if fast.SpinLeaps() != 0 {
 		t.Errorf("spin engine leapt %d times over a storing loop, want 0", fast.SpinLeaps())
 	}
@@ -221,8 +162,8 @@ wait:
     halt
 `
 	mk := func(t *testing.T) *Image { return busyWaitImage(t, countingConsumer) }
-	exact, fast := runModesUntraced(t, nosyncCfg(), mk, 40_000)
-	assertIdenticalNoTrace(t, exact, fast)
+	exact, fast := runModes(t, nosyncCfg(), mk, 40_000)
+	assertIdentical(t, exact, fast)
 	if fast.SpinLeaps() != 0 {
 		t.Errorf("spin engine leapt %d times despite marching registers, want 0", fast.SpinLeaps())
 	}
@@ -244,8 +185,8 @@ spin:
 	mk := func(t *testing.T) *Image {
 		return buildImage(t, 0, 0, []string{src}, []int{0}, nil)
 	}
-	exact, fast := runModesUntraced(t, scCfg(), mk, 30_000)
-	assertIdenticalNoTrace(t, exact, fast)
+	exact, fast := runModes(t, scCfg(), mk, 30_000)
+	assertIdentical(t, exact, fast)
 	if !fast.AllHalted() {
 		t.Fatal("cycle-poll loop did not terminate")
 	}
@@ -294,23 +235,10 @@ wait:
     halt
 `
 	mk := func(t *testing.T) *Image { return busyWaitImage(t, longConsumer) }
-	exact, fast := runModesUntraced(t, nosyncCfg(), mk, 40_000)
-	assertIdenticalNoTrace(t, exact, fast)
-	if fast.SpinLeaps() != 0 {
-		t.Errorf("spin engine leapt %d times over a %d-instruction loop, want 0", fast.SpinLeaps(), 28)
-	}
-}
-
-// TestSpinFastForwardTracerInhibits: a spin stretch is not trace-silent (the
-// spinning core's status flips between exec/stall/bubble), so an attached
-// recorder must keep the engine off — and the traced fast run therefore
-// stays bit-identical to the traced exact run, full event stream included.
-func TestSpinFastForwardTracerInhibits(t *testing.T) {
-	mk := func(t *testing.T) *Image { return busyWaitImage(t, spinConsumerSrc) }
 	exact, fast := runModes(t, nosyncCfg(), mk, 40_000)
 	assertIdentical(t, exact, fast)
 	if fast.SpinLeaps() != 0 {
-		t.Errorf("spin engine leapt %d times with a tracer attached, want 0", fast.SpinLeaps())
+		t.Errorf("spin engine leapt %d times over a %d-instruction loop, want 0", fast.SpinLeaps(), 28)
 	}
 }
 
@@ -349,5 +277,5 @@ func TestSpinFastForwardStatistics(t *testing.T) {
 	if err := q.Run(28_000); err != nil {
 		t.Fatal(err)
 	}
-	assertIdenticalNoTrace(t, p, q)
+	assertIdentical(t, p, q)
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/interco"
 	"repro/internal/isa"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // Step simulates one platform clock cycle. It returns an error on an
@@ -173,9 +172,6 @@ func (p *Platform) Step() error {
 		if eff.Taken {
 			p.ctr.BranchBubbles++
 		}
-		if eff.Halted && p.tracer != nil {
-			p.tracer.Record(cyc, c, trace.KindHalt, 0, 0)
-		}
 		if p.spin.tracking {
 			t := &p.spin.track[c]
 			t.NoteExec(pc)
@@ -193,9 +189,10 @@ func (p *Platform) Step() error {
 	// Phase 7: cycle accounting. idle tracks whether this cycle performed
 	// any work at all; a fully idle cycle arms the fast-forward engine
 	// (fastforward.go), which may leap over the identical cycles to come.
+	// An exact cycle with a sink attached also records each core whose
+	// state changed.
 	idle := true
-	tracing := p.tracer != nil
-	statusChanged := false
+	record := p.exact && p.obs != nil
 	for c := 0; c < p.ncore; c++ {
 		st := p.status[c]
 		switch st {
@@ -222,52 +219,23 @@ func (p *Platform) Step() error {
 		case stHalted:
 			p.ctr.CoreHalted++
 		}
-		if tracing && st != p.lastStatus[c] {
-			statusChanged = true
+		if record && coreStateCode[st] != p.obsState[c] {
+			p.obsState[c] = coreStateCode[st]
+			if p.obsState[c] >= 0 {
+				p.obs.Instant(obs.KindCoreState, obs.TrackCore, int32(c), cyc, p.obsState[c], 0)
+			}
 		}
 	}
 	// Per-sample-window worst-case tracking.
 	if p.adc != nil {
 		if n := p.adc.SamplesPublished(); n != p.lastSample {
 			p.lastSample = n
-			if p.tracer != nil {
-				p.tracer.Record(cyc, -1, trace.KindSample, int32(n), 0)
-			}
 			for c := 0; c < p.ncore; c++ {
 				if uint64(p.windowBusy[c]) > p.maxSampleBusy {
 					p.maxSampleBusy = uint64(p.windowBusy[c])
 				}
 				p.windowBusy[c] = 0
 			}
-		}
-	}
-
-	// Optional event tracing: state transitions only, detected during the
-	// accounting loop above, so both untraced runs and steady-state traced
-	// stretches skip this walk entirely.
-	if tracing && statusChanged {
-		for c := 0; c < p.ncore; c++ {
-			st := p.status[c]
-			if st == p.lastStatus[c] {
-				continue
-			}
-			switch st {
-			case stExec:
-				if p.lastStatus[c] == stIdle {
-					p.tracer.Record(cyc, c, trace.KindWake, 0, 0)
-				}
-				p.tracer.Record(cyc, c, trace.KindState, trace.StateExec, 0)
-			case stIMStall, stDMStall:
-				p.tracer.Record(cyc, c, trace.KindState, trace.StateStall, 0)
-			case stBubble:
-				p.tracer.Record(cyc, c, trace.KindState, trace.StateBubble, 0)
-			case stIdle:
-				p.tracer.Record(cyc, c, trace.KindState, trace.StateIdle, 0)
-			case stHalted:
-				// Recorded at execute time (the run may end before the
-				// last core's state transition is observed).
-			}
-			p.lastStatus[c] = st
 		}
 	}
 	p.ctr.Cycles++
@@ -279,24 +247,20 @@ func (p *Platform) Step() error {
 
 // PostSync implements cpu.Env.
 func (p *Platform) PostSync(coreID int, kind isa.Opcode, point int) {
-	if p.tracer != nil {
-		p.tracer.Record(p.cycle, coreID, trace.KindSync, int32(kind), int32(point))
+	if p.exact {
+		p.obs.Instant(obs.KindSyncOp, obs.TrackCore, int32(coreID), p.cycle, int64(kind), int64(point))
 	}
 	p.sync.Post(coreID, kind, point)
 }
 
-// RequestSleep implements cpu.Env.
+// RequestSleep implements cpu.Env. A gated SLEEP is a boundary event; one
+// that falls through on a latched token is recorded on exact cycles only.
 func (p *Platform) RequestSleep(coreID int) bool {
 	gated := p.sync.RequestSleep(coreID)
-	if p.tracer != nil {
-		arg := int32(0)
-		if gated {
-			arg = 1
-		}
-		p.tracer.Record(p.cycle, coreID, trace.KindSleep, arg, 0)
-	}
 	if gated {
 		p.obs.Instant(obs.KindSleep, obs.TrackCore, int32(coreID), p.cycle, 0, 0)
+	} else if p.exact {
+		p.obs.Instant(obs.KindSyncOp, obs.TrackCore, int32(coreID), p.cycle, int64(isa.OpSLEEP), 0)
 	}
 	return gated
 }

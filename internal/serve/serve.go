@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -66,7 +67,8 @@ type Config struct {
 	// TimelineCap, when positive, attaches an event-timeline ring of that
 	// capacity to every simulation the engine runs (solve phases, probe
 	// spans). Observation only: results and response bytes are identical
-	// with or without it.
+	// with or without it. Exact requests step every cycle and also fill
+	// the ring with core-state and sync-op events.
 	TimelineCap int
 	// Params calibrates power reports (nil selects power.DefaultParams).
 	Params *power.Params
@@ -180,9 +182,13 @@ type resolved struct {
 // record is synthesized for its whole duration before anything is simulated
 // (a 3L-MF record takes about 7.8 MB per 1000 s), and 600 s is 60 times the
 // paper's 10-s measurement (every bundled scenario uses 10 s or less).
+// maxSweepArchs caps a sweep's archs list, well above the three presets and
+// the two-entry lists of the bundled scenarios; repeated apps and archs are
+// rejected too, so a sweep grid holds at most len(apps.Names) x 16 cells.
 const (
 	maxFieldBytes = 256
 	maxSeconds    = 600
+	maxSweepArchs = 16
 )
 
 // checkField rejects a request string longer than maxFieldBytes, naming the
@@ -367,6 +373,12 @@ func (e *Engine) Sweep(req wire.SweepRequest) (body []byte, shared bool, err err
 		if !known {
 			return nil, false, &resolveError{fmt.Errorf("unknown app %q (known: %v)", n, apps.Names)}
 		}
+		if j := slices.Index(appNames[:i], n); j >= 0 {
+			return nil, false, &resolveError{fmt.Errorf("apps[%d] repeats apps[%d]: list each app once", i, j)}
+		}
+	}
+	if len(req.Archs) > maxSweepArchs {
+		return nil, false, &resolveError{fmt.Errorf("archs has %d entries, over the %d-entry limit", len(req.Archs), maxSweepArchs)}
 	}
 	if len(req.Archs) > 0 {
 		archs = nil
@@ -377,6 +389,9 @@ func (e *Engine) Sweep(req wire.SweepRequest) (body []byte, shared bool, err err
 			a, err := power.ParseArchSpec(spec)
 			if err != nil {
 				return nil, false, &resolveError{err}
+			}
+			if j := slices.IndexFunc(archs, func(b power.Arch) bool { return b.Key() == a.Key() }); j >= 0 {
+				return nil, false, &resolveError{fmt.Errorf("archs[%d] repeats archs[%d]: list each sync-unit descriptor once", i, j)}
 			}
 			archs = append(archs, a)
 		}

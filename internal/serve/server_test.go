@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -107,6 +108,45 @@ func TestHandlerBoundsRequestStrings(t *testing.T) {
 		if want := tc.field + " is 900000 bytes, over the 256-byte limit"; !strings.Contains(string(body), want) {
 			t.Errorf("%s %s: body %s lacks %q", tc.path, tc.field, body, want)
 		}
+	}
+}
+
+// TestHandlerBoundsSweepGrid: a sweep lists each app and sync-unit
+// descriptor once, and at most 16 descriptors. A body that repeats an entry
+// (a descriptor by its key, whatever its spelling) or lists more gets a 400
+// under 1 KiB naming the entry and the rule, before any record is
+// synthesized (a 45-KB body repeating one app used to buy a 2.9-MB grid).
+func TestHandlerBoundsSweepGrid(t *testing.T) {
+	e := newEngine(t, serve.Config{Jobs: 1})
+	srv := httptest.NewServer(e.Handler())
+	t.Cleanup(srv.Close)
+	list := func(n int, entry func(i int) string) string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = `"` + entry(i) + `"`
+		}
+		return "[" + strings.Join(out, ",") + "]"
+	}
+	cases := []struct{ body, want string }{
+		{`{"apps":` + list(5000, func(int) string { return "3l-mf" }) + `,"archs":["sc"],"duration_s":0.4,"probe_s":0.3}`,
+			"apps[1] repeats apps[0]: list each app once"},
+		{`{"apps":["3l-mf"],"archs":["mc","sc","multi"]}`,
+			"archs[2] repeats archs[0]: list each sync-unit descriptor once"},
+		{`{"apps":["3l-mf"],"archs":` + list(17, func(i int) string { return fmt.Sprintf("multi,timeout=%d", i+1) }) + `}`,
+			"archs has 17 entries, over the 16-entry limit"},
+	}
+	for _, tc := range cases {
+		resp, body := post(t, srv, "/v1/sweep", tc.body)
+		if resp.StatusCode != http.StatusBadRequest || len(body) >= 1024 {
+			t.Errorf("status %d with a %d-byte body, want 400 under 1 KiB (%s)", resp.StatusCode, len(body), body)
+			continue
+		}
+		if !strings.Contains(string(body), tc.want) {
+			t.Errorf("body %s lacks %q", body, tc.want)
+		}
+	}
+	if n := e.PublishMetrics().Counter("signal.cache.requests"); n != 0 {
+		t.Errorf("rejected sweeps requested %d signal records, want 0", n)
 	}
 }
 
