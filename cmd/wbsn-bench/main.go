@@ -83,6 +83,9 @@ func (b *bench) writeObsOutputs() {
 		if err := f.Close(); err != nil {
 			b.fail("timeline-out", err)
 		}
+		if tl := b.sink.Timeline(); tl.Dropped() > 0 {
+			fmt.Fprintf(os.Stderr, "timeline-out: the ring dropped the %d oldest events; -timeline-cap %d would hold the whole run\n", tl.Dropped(), uint64(tl.Len())+tl.Dropped())
+		}
 	}
 	if b.metricsOut != "" {
 		f, err := os.Create(b.metricsOut)

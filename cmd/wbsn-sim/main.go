@@ -440,6 +440,9 @@ func writeObsOutputs(sink *obs.Sink, reg *obs.Registry, timelinePath, metricsPat
 		if err := f.Close(); err != nil {
 			fatal(err)
 		}
+		if tl := sink.Timeline(); tl.Dropped() > 0 {
+			fmt.Fprintf(os.Stderr, "timeline-out: the ring dropped the %d oldest events; -timeline-cap %d would hold the whole run\n", tl.Dropped(), uint64(tl.Len())+tl.Dropped())
+		}
 	}
 	if metricsPath != "" {
 		f, err := os.Create(metricsPath)

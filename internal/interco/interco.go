@@ -4,7 +4,9 @@
 // extended — as in the paper — with broadcasting: multiple read requests for
 // the same location in the same clock cycle are merged into a single memory
 // access. The single-core baseline replaces the crossbars with simple
-// decoders (no arbitration needed).
+// decoders; the simulator models them as crossbars with one requester,
+// which grant every request, and charges the decoders' energy through
+// power.Params.
 package interco
 
 // Request is one core-to-memory access submitted for arbitration within a
@@ -166,18 +168,4 @@ func (x *Crossbar) prio(core int) int {
 	// Rotating: the core equal to rr mod PhasePeriod has priority 0 this
 	// cycle.
 	return (core - x.rr) & (PhasePeriod - 1)
-}
-
-// Decoder is the single-core baseline's memory interface: one requester, no
-// arbitration, every request granted.
-type Decoder struct{}
-
-// Arbitrate grants every request (the single core cannot conflict with
-// itself: instruction and data memories have independent decoders).
-func (Decoder) Arbitrate(reqs []Request) Result {
-	for i := range reqs {
-		reqs[i].Granted = true
-		reqs[i].Merged = false
-	}
-	return Result{Accesses: len(reqs)}
 }

@@ -115,23 +115,6 @@ func TestEmptyCycle(t *testing.T) {
 	}
 }
 
-func TestDecoderGrantsEverything(t *testing.T) {
-	var d Decoder
-	reqs := []Request{
-		{Core: 0, Bank: 0, Offset: 5},
-		{Core: 0, Bank: 0, Offset: 9, Write: true},
-	}
-	res := d.Arbitrate(reqs)
-	if res.Accesses != 2 || res.Stalled != 0 {
-		t.Fatalf("decoder res = %+v", res)
-	}
-	for _, r := range reqs {
-		if !r.Granted || r.Merged {
-			t.Error("decoder must grant directly without merging")
-		}
-	}
-}
-
 // Property: arbitration conserves requests, never grants two distinct
 // addresses on one bank, and merged grants always match their winner.
 func TestQuickArbitrationInvariants(t *testing.T) {

@@ -51,18 +51,19 @@
 // The one regime deliberately left to others is the short busy-wait loop:
 // executing a spin loop instruction-by-instruction — even cheaply — is
 // asymptotically worse than the spin engine's O(1) leap per proven period.
-// On a taken backward branch of spin-detectable distance the engine
+// On a taken backward branch shorter than maxSpinPeriod the engine
 // therefore opens a sticky per-core yield span, which closes when the
 // core's PC leaves the loop. The spin engine can only leap once every
 // running core spins, so a yield hands the platform to Step only then: a
 // single-core run ends at the yield, and a stride carries yielded pollers
 // alongside its working cores, ending after the cycle in which every
-// participant is yielded. Step then feeds the spin detector exactly when a
-// leap is possible. Short loops are also what DSP kernels are made of, and
-// a loop whose registers march (an induction variable, a walking pointer)
-// can never recur, so the spin engine can never leap it. The yield
-// therefore carries a verdict: at each stepped visit to the loop head the
-// core's full state is compared with the previous visit, and
+// participant is yielded. The yields are the spin engine's nomination: it
+// arms a recurrence probe when every running core is yielded, which is
+// exactly when a leap is possible. Short loops are also what DSP kernels
+// are made of, and a loop whose registers march (an induction variable, a
+// walking pointer) can never recur, so the spin engine can never leap it.
+// The yield therefore carries a verdict: at each stepped visit to the loop
+// head the core's full state is compared with the previous visit, and
 // blockVerdictVisits consecutive differences release the yield and record
 // the loop's latch as unleapable for the platform's lifetime, so later
 // entries of that loop run here from their first iteration. A genuine poll
@@ -89,6 +90,11 @@ import (
 	"repro/internal/obs"
 	"repro/internal/power"
 )
+
+// maxSpinPeriod bounds a yield's loop: a taken backward branch opens one
+// only when its latch lies fewer than maxSpinPeriod instructions past its
+// head. Longer loops run here, iteration by iteration.
+const maxSpinPeriod = 24
 
 // blockVerdictVisits is how many consecutive visits to a yielded loop's
 // head, each in a core state differing from the visit before, prove the
@@ -118,8 +124,8 @@ type blockEngine struct {
 	set *mem.BlockSet
 
 	// Sticky per-core spin yields: once every running core's PC lies in its
-	// yielded loop the engine stays off, so the spin detector sees an
-	// uninterrupted stepped instruction stream (spinff.go).
+	// yielded loop the engine stays off, and the spin engine probes the
+	// stepped stretch for a recurrence (spinff.go).
 	yield []spinYield
 	// unleapable marks, by IM address, the latches of loops judged
 	// unleapable (blockVerdictVisits); nil until the first verdict.
@@ -235,7 +241,7 @@ func (p *Platform) blockRun(limit uint64) {
 	case nrun == 0:
 		return // fully idle: the quiescence engine's territory
 	case nyield == nrun:
-		return // every running core spins: the spin detector's domain
+		return // every running core spins: the spin engine's domain
 	case nrun == 1:
 		p.blockRunSingle(limit, anchor, gated, halted)
 	default:
@@ -369,7 +375,7 @@ loop:
 	p.obs.Span(obs.KindBlockStride, obs.TrackEngine, 0, start, n, int64(instrs), 1)
 	p.obs.Observe("engine.block_stride_cycles", n)
 	p.obs.Observe(blockStrideCoresName[0], n)
-	p.blockSpinHygiene(anchor)
+	p.spinDisarm()
 }
 
 // Participant states of one multi-core stride cycle, as Step's phases 1–4
@@ -709,8 +715,8 @@ stride:
 		if y := &be.yield[c]; y.on {
 			*y = spinYield{on: true, lo: y.lo, hi: y.hi}
 		}
-		p.blockSpinHygiene(c)
 	}
+	p.spinDisarm()
 	p.cycle = cyc
 	p.sync.FastForward(cyc)
 	p.lastCycleIdle = false
@@ -754,13 +760,13 @@ func (p *Platform) blockEnd(limit uint64) uint64 {
 }
 
 // blockYield is called after core c took a branch from latch inside a
-// stretch. A tight backward loop is the spin detector's domain — its O(1)
+// stretch. A tight backward loop is the spin engine's domain — its O(1)
 // leap beats executing every iteration — unless the loop was already judged
 // unleapable, so it reports whether the engine must yield core c stickily,
 // and if so opens the yield span.
 func (p *Platform) blockYield(c, latch int) bool {
 	head := p.cores[c].PC
-	if head > latch || latch-head >= core.MaxSpinPeriod ||
+	if head > latch || latch-head >= maxSpinPeriod ||
 		latch < len(p.block.unleapable) && p.block.unleapable[latch] {
 		return false
 	}
@@ -828,16 +834,4 @@ func (p *Platform) blockYielded(c int) bool {
 	p.block.unleapable[y.hi] = true
 	y.on = false
 	return false
-}
-
-// blockSpinHygiene resets the spin detector for a stride participant: the
-// stretch was not stepped, so core c's PC history is stale and any armed
-// probe assumed contiguity it no longer has. Detection resumes on the
-// stepped path.
-func (p *Platform) blockSpinHygiene(c int) {
-	p.spin.track[c].Reset()
-	if p.spin.armed {
-		p.spin.armed = false
-		p.spin.nextCheck = p.cycle + spinRecheck
-	}
 }

@@ -169,8 +169,9 @@ func TestBlockEngineOpcodeDifferential(t *testing.T) {
 }
 
 // blockKernelWords is a fast-forward-resistant compute kernel: a long
-// unrolled ALU body with a store per iteration (side effects defeat the spin
-// detector; its backward jump is far longer than any spin signature) and no
+// unrolled ALU body with a store per iteration (its backward jump is far
+// longer than any spin yield's loop, and the stores defeat the spin engine's
+// recurrence proof) and no
 // sleep or ADC dependence (nothing for the idle engine). Every cycle is
 // compute-bound, so the block engine carries essentially the whole run.
 func blockKernelWords() []isa.Word {
@@ -595,8 +596,8 @@ gap:
 
 // contendedSrc is a compute kernel whose data accesses collide: every core
 // reads and rewrites its own words 16 apart, which the ATU's word
-// interleaving puts on one DM bank. Its loop body is longer than any spin
-// signature, so no yield ever ends a stride.
+// interleaving puts on one DM bank. Its loop body is maxSpinPeriod
+// instructions or longer, so no yield ever ends a stride.
 const contendedSrc = `
 .code contended
     li   r13, 0x7F00

@@ -7,7 +7,7 @@
 // ones we didn't. Each case assembles a small random program from the real
 // ISA encoder — arithmetic, loads/stores through shared and private windows,
 // MMIO probes, forward and backward branches, counted loops shorter than
-// core.MaxSpinPeriod (the spin yield hands them to the block engine
+// maxSpinPeriod (the spin yield hands them to the block engine
 // mid-loop), poll/produce pairs (core 0 sets a shared flag after random work
 // while the other cores poll it, so strides carry yielded pollers and
 // release them mid-stride), jumps, sync ISE forms, SLEEP and HALT — lays it

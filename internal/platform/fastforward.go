@@ -49,7 +49,6 @@ import (
 // way, and neither the chunking of a run into Run calls nor a mode switch
 // between them changes it.
 func (p *Platform) Run(n uint64) error {
-	p.spinSetTracking(!p.exact)
 	limit := p.cycle + n
 	for p.cycle < limit {
 		if !p.exact && p.lastCycleIdle {
@@ -58,10 +57,9 @@ func (p *Platform) Run(n uint64) error {
 				return nil
 			}
 		}
-		if p.spin.tracking {
-			// The block engine shares the spin engine's gate: not exact. It
-			// only ever executes cycles Step would have executed
-			// identically, so it may run right up to the budget.
+		if !p.exact {
+			// The block engine only ever executes cycles Step would have
+			// executed identically, so it may run right up to the budget.
 			p.blockRun(limit)
 			if p.cycle >= limit {
 				return nil
@@ -73,7 +71,7 @@ func (p *Platform) Run(n uint64) error {
 		if p.AllHalted() {
 			return nil
 		}
-		if p.spin.tracking {
+		if !p.exact {
 			p.spinObserve(limit)
 		}
 	}

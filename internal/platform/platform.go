@@ -341,7 +341,6 @@ func New(cfg Config, img *Image) (*Platform, error) {
 		exact:       cfg.Exact,
 	}
 	p.sync = core.NewSynchronizer(n, img.NumSyncPoints, cfg.Arch, &p.ctr)
-	p.spin.track = make([]core.SpinTracker, n)
 	p.spinReset()
 
 	// Memory fabric: the multi-core uses crossbars and the ATU's
@@ -468,9 +467,9 @@ func (p *Platform) Counters() *power.Counters { return &p.ctr }
 // SetExact forces (true) the cycle-by-cycle path for subsequent Run calls,
 // disabling all four fast paths — idle and spin fast-forward, block runs
 // and strides — or re-enables them (false). Mode switches are safe at any
-// cycle boundary: all paths maintain identical architectural state. An
-// exact stretch after a fast one opens with a record of every core's state
-// when a sink is attached.
+// cycle boundary: all paths maintain identical architectural state, and a
+// switch resets no engine odometer. An exact stretch after a fast one opens
+// with a record of every core's state when a sink is attached.
 func (p *Platform) SetExact(exact bool) {
 	if exact && !p.exact {
 		p.obsStateReset()
@@ -491,9 +490,10 @@ func (p *Platform) FFLeaps() uint64 { return p.ffLeaps }
 func (p *Platform) FFSkippedCycles() uint64 { return p.ffSkipped }
 
 // StepCycles returns how many cycles Step simulated one by one. On a
-// platform that was never restored it completes the cycle partition:
-// FFSkippedCycles + SpinSkippedCycles + BlockCycles + BlockMCCycles +
-// StepCycles == Cycle. Restore and Fork reset it.
+// platform that was never restored, whatever its mode switches, it
+// completes the cycle partition: FFSkippedCycles + SpinSkippedCycles +
+// BlockCycles + BlockMCCycles + StepCycles == Cycle. Restore and Fork reset
+// it.
 func (p *Platform) StepCycles() uint64 { return p.stepped }
 
 // Cycle returns the current cycle number.
@@ -579,16 +579,6 @@ func (p *Platform) PeekData(coreID int, addr uint16) (uint16, bool) {
 	}
 	b, o := p.mapper.Map(coreID, addr)
 	return p.dmem.Read(b, o)
-}
-
-// PokeData writes logical address addr as seen by the given core, bypassing
-// timing (for tests).
-func (p *Platform) PokeData(coreID int, addr uint16, v uint16) bool {
-	if isa.IsMMIO(addr) {
-		return false
-	}
-	b, o := p.mapper.Map(coreID, addr)
-	return p.dmem.Write(b, o, v)
 }
 
 // AllHalted reports whether every core has executed HALT.

@@ -175,10 +175,10 @@ func (p *Platform) adopt(s *Snapshot) error {
 	if s.FaultMsg != "" {
 		p.fault = errors.New(s.FaultMsg)
 	}
-	// Spin-detector state (PC histories, armed probes, leap statistics) is
+	// Spin-engine state (the armed probe, leap statistics) is
 	// simulation-process state, not simulated state: it only influences
 	// *when* the spin engine leaps, never what any leap produces, so
-	// snapshots deliberately omit it and restoring simply re-detects. This
+	// snapshots deliberately omit it and restoring simply re-probes. This
 	// keeps Restore/Fork bit-identical to never having stopped while
 	// letting leap placement differ — exactly like Run-call chunking does.
 	// The block engine's yield spans, loop verdicts and engagement

@@ -9,22 +9,25 @@
 //
 // It works in three stages:
 //
-//  1. Nominate. Each core's SpinTracker (internal/core/spin.go) watches the
-//     executed-PC stream for a small, side-effect-free loop signature with a
-//     bounded observed-address set. When every running core is nominated
-//     (gated/halted cores contribute nothing), the engine arms a probe.
+//  1. Nominate. The block engine (blockengine.go) opens a sticky spin yield
+//     on a core that takes a short backward branch and releases it when the
+//     core leaves the loop or the loop's head state keeps changing (its
+//     verdict). When every running core is yielded with its PC inside its
+//     yield span (gated/halted cores contribute nothing) and no wake is
+//     pending, the engine arms a probe.
 //
 //  2. Prove. The probe captures the platform's evolution-relevant state —
 //     core pipelines and registers, synchronizer points/states/tokens/IRQs,
 //     crossbar phases, the data memory's write generation (read-set
 //     stability: internal/mem), debug/error stream lengths, host flag — and
 //     keeps stepping normally. If the exact same state recurs P cycles
-//     later with no DM write, no ADC event and no pending wake in between,
-//     the stretch is periodic with period P: the next P cycles must repeat
-//     the last P exactly. Arbitration phase matters only when the window
-//     saw a bank conflict; a conflict-free window grants every request at
-//     every rotating-priority phase (interco.PhasePeriod), so its
-//     recurrence is accepted phase-free and short periods stay short.
+//     later with no DM write, no core woken, no ADC event and no pending
+//     wake in between, the stretch is periodic with period P: the next P
+//     cycles must repeat the last P exactly. Arbitration phase matters
+//     only when the window saw a bank conflict; a conflict-free window
+//     grants every request at every rotating-priority phase
+//     (interco.PhasePeriod), so its recurrence is accepted phase-free and
+//     short periods stay short.
 //
 //  3. Leap. The counter, busy-cycle and sample-window deltas of the proven
 //     period are replayed arithmetically for as many whole periods as fit
@@ -37,9 +40,10 @@
 //
 // A failed nomination or probe costs nothing but the bookkeeping: the
 // probed cycles were ordinary steps, and retries back off exponentially.
-// A spin loop changes its cores' pipeline states every few cycles, which a
-// leap cannot record without stepping; a caller who wants those core-state
-// events runs the stretch in exact mode.
+// Exact cycles are ordinary steps too, so a mode switch leaves an armed
+// probe and the odometers alone. A spin loop changes its cores' pipeline
+// states every few cycles, which a leap cannot record without stepping; a
+// caller who wants those core-state events runs the stretch in exact mode.
 
 package platform
 
@@ -55,27 +59,22 @@ import (
 const (
 	// spinProbeMax bounds one recurrence probe. It must cover
 	// lcm(loop period, interco.PhasePeriod) for conflicting loops up to
-	// MaxSpinPeriod instructions plus their stalls and bubbles.
+	// maxSpinPeriod instructions plus their stalls and bubbles.
 	spinProbeMax = 8192
 	// spinRecheck is the fixed interval between nomination attempts while
-	// cores are doing real work. Rejections there are O(1) — stores reset
-	// the trackers' clean windows — so polling often costs next to nothing
-	// and catches the start of a spin stretch promptly.
+	// cores are doing real work. A rejection reads one yield per core, so
+	// polling often costs next to nothing and catches the start of a spin
+	// stretch promptly.
 	spinRecheck = 16
 	// spinBackoffMin/Max bound the exponential retry backoff after a
-	// *failed probe*: the expensive case, where the trackers nominated a
-	// loop but the recurrence proof fell through.
+	// *failed probe*: the expensive case, where the yields nominated a
+	// stretch but the recurrence proof fell through.
 	spinBackoffMin = 64
 	spinBackoffMax = 4096
 )
 
 // spinFF is the engine state embedded in Platform.
 type spinFF struct {
-	// tracking mirrors "!exact" for the current Run; the per-instruction
-	// hooks in Step are gated on it.
-	tracking bool
-	track    []core.SpinTracker
-
 	// Detection throttle.
 	nextCheck  uint64
 	backoff    uint64
@@ -95,7 +94,6 @@ type spinFF struct {
 	window             []uint32
 	debugLen, errLen   int
 	hostFlag           uint16
-	lastSample         int
 
 	// Wall-clock diagnostics (process state, not snapshotted: a probe
 	// re-runs after restore, so leap placement depends on Run chunking).
@@ -114,20 +112,9 @@ func (p *Platform) SpinLeaps() uint64 { return p.spin.leaps }
 // like SpinLeaps.
 func (p *Platform) SpinSkippedCycles() uint64 { return p.spin.skipped }
 
-// spinSetTracking enables or disables spin detection for the current Run,
-// resetting all detector and probe state on every transition (history
-// gathered under the other mode would be stale).
-func (p *Platform) spinSetTracking(on bool) {
-	if p.spin.tracking == on {
-		return
-	}
-	p.spin.tracking = on
-	p.spinReset()
-}
-
-// spinReset clears detector and probe state: mode switches, Restore, Fork.
-// The leap statistics reset too — they describe this engine instance's
-// work, not the simulated run.
+// spinReset clears probe state: New, Restore, Fork. The leap statistics
+// reset too — they describe this engine instance's work, not the simulated
+// run.
 func (p *Platform) spinReset() {
 	s := &p.spin
 	s.armed = false
@@ -136,9 +123,6 @@ func (p *Platform) spinReset() {
 	s.sampleSeen = p.lastSample
 	s.leaps = 0
 	s.skipped = 0
-	for c := range s.track {
-		s.track[c].Reset()
-	}
 }
 
 // spinRetryLater disarms/postpones detection with exponential backoff.
@@ -151,8 +135,18 @@ func (p *Platform) spinRetryLater() {
 	}
 }
 
-// spinObserve is called by Run after every completed Step while tracking is
-// on. It advances whichever stage the engine is in: probing for a
+// spinDisarm drops an armed probe after a block-engine stretch, which runs
+// only once some running core has left its yield: the nominated stretch is
+// over, and the next nomination attempt follows promptly.
+func (p *Platform) spinDisarm() {
+	if p.spin.armed {
+		p.spin.armed = false
+		p.spin.nextCheck = p.cycle + spinRecheck
+	}
+}
+
+// spinObserve is called by Run after every completed Step outside exact
+// mode. It advances whichever stage the engine is in: probing for a
 // recurrence, or deciding whether to arm one.
 func (p *Platform) spinObserve(limit uint64) {
 	s := &p.spin
@@ -178,9 +172,10 @@ func (p *Platform) spinObserve(limit uint64) {
 	}
 }
 
-// spinArm nominates the current stretch: every running core must be inside
-// a recognized spin loop and no wake latency may be pending. On success the
-// evolution-relevant platform state is captured for the recurrence proof.
+// spinArm nominates the current stretch: every running core must be
+// yielded with its PC inside its yield span, and no wake latency may be
+// pending. On success the evolution-relevant platform state is captured for
+// the recurrence proof.
 func (p *Platform) spinArm() bool {
 	s := &p.spin
 	anchor := -1
@@ -188,7 +183,8 @@ func (p *Platform) spinArm() bool {
 		if p.sync.State(c) != core.StateRunning {
 			continue
 		}
-		if _, ok := s.track[c].Candidate(); !ok {
+		y := &p.block.yield[c]
+		if pc := p.cores[c].PC; !y.on || pc < y.lo || pc > y.hi {
 			return false
 		}
 		if anchor < 0 {
@@ -227,7 +223,6 @@ func (p *Platform) spinArm() bool {
 	s.window = append(s.window[:0], p.windowBusy...)
 	s.debugLen, s.errLen = len(p.debug), len(p.errCodes)
 	s.hostFlag = p.hostFlag
-	s.lastSample = p.lastSample
 	return true
 }
 
@@ -270,6 +265,13 @@ func (p *Platform) spinTryLeap(limit uint64) {
 	}
 	period := p.cycle - s.start
 	delta := p.ctr.Diff(&s.ctr)
+	if delta.SyncWakes != 0 {
+		// A core slept and woke inside the window, which an event
+		// rendezvous (SEVS) does without writing data memory: every period
+		// repeats sleep and wake instants a leap cannot record.
+		p.spinRetryLater()
+		return
+	}
 	if (p.imx.Phase() != s.imxPhase || p.dmx.Phase() != s.dmxPhase) &&
 		(delta.IMConflict != 0 || delta.DMConflict != 0) {
 		// The window saw arbitration conflicts, whose grant pattern depends
@@ -309,9 +311,14 @@ func (p *Platform) spinTryLeap(limit uint64) {
 		p.windowBusy[c] += uint32(n) * dw
 	}
 	k := n * period
-	// One span for the whole replayed stretch: spin windows are proven
-	// side-effect-free (no sync ops, sleeps or MMIO), so no boundary event
-	// is skipped and the leap is lossless for the observer.
+	// One span for the whole replayed stretch. The proven window holds no
+	// boundary event, so the leap is lossless for the observer: SINC, SDEC
+	// and SNOP mirror their point into data memory, so barrier arrivals and
+	// releases would have moved DMem.Gen; a halt is permanent, and a core
+	// that slept inside the window must have woken inside it, which
+	// SyncWakes rules out, timeout expiries included; ADC events lie past
+	// the probe's deadline, and NextWake excluded pending wakes and
+	// timeouts at both ends.
 	p.obs.Span(obs.KindSpinLeap, obs.TrackEngine, 0, p.cycle, k, int64(period), int64(n))
 	p.obs.Observe("engine.spin_leap_cycles", k)
 	p.cycle += k
@@ -321,8 +328,8 @@ func (p *Platform) spinTryLeap(limit uint64) {
 	s.leaps++
 	s.skipped += k
 	// The platform now sits in the proven state with less than one period
-	// of room to the horizon; the remainder is stepped. The detector stays
-	// warm for the next stretch.
+	// of room to the horizon; the remainder is stepped. The yields stay
+	// open for the next stretch.
 	s.armed = false
 	s.backoff = spinBackoffMin
 	s.nextCheck = p.cycle

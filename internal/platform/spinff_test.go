@@ -3,6 +3,7 @@ package platform
 import (
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/power"
 )
 
@@ -116,9 +117,8 @@ spin:
 }
 
 // TestSpinFastForwardRejectsStores: a poll loop that also stores every
-// iteration has a non-empty write set; the detector must never nominate it
-// and the run must fall back to cycle-accurate stepping — still
-// bit-identical.
+// iteration writes data memory, so the recurrence proof must reject it and
+// the run must fall back to cycle-accurate stepping — still bit-identical.
 func TestSpinFastForwardRejectsStores(t *testing.T) {
 	storingConsumer := `
 .code consumer
@@ -142,10 +142,86 @@ wait:
 	}
 }
 
+// TestSpinFastForwardRejectsSyncPoll: a poll loop that registers on a sync
+// point (SNOP) every iteration keeps its spin yield, so the engine probes
+// it, but each SNOP mirrors the point into data memory and records a
+// barrier arrival. The recurrence proof must reject the loop through the
+// data-memory write generation, and the run must stay bit-identical,
+// boundary instants included.
+func TestSpinFastForwardRejectsSyncPoll(t *testing.T) {
+	snopConsumer := `
+.code consumer
+    li   r2, 0
+    li   r6, 6
+    li   r7, 200
+wait:
+    snop #0             ; register on point 0 every iteration
+    lw   r1, 0(r7)
+    beq  r1, r2, wait
+    addi r2, r2, 1
+    blt  r2, r6, wait
+    halt
+`
+	mk := func(t *testing.T) *Image {
+		return buildImage(t, 0x2000, 1, []string{spinProducerSrc, snopConsumer}, []int{0, 64},
+			[]DataSeg{{Base: 200, Words: []uint16{0}}})
+	}
+	cfg := nosyncCfg()
+	cfg.Arch = power.MC
+	exact, fast := runModes(t, cfg, mk, 40_000)
+	assertIdentical(t, exact, fast)
+	if n := countKind(fast.Observer().Timeline().Events(), obs.KindBarrierArrive); n == 0 {
+		t.Fatal("the SNOP poll recorded no barrier arrivals")
+	}
+	if fast.SpinLeaps() != 0 {
+		t.Errorf("spin engine leapt %d times over a SNOP poll, want 0", fast.SpinLeaps())
+	}
+	// Mid-poll the consumer is yielded: the loop was nominated, and the
+	// proof is what turned it down.
+	p, err := New(cfg, mk(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Run(10_000); err != nil {
+		t.Fatal(err)
+	}
+	if !p.block.yield[1].on {
+		t.Error("the SNOP poll loop holds no spin yield mid-poll")
+	}
+}
+
+// TestSpinFastForwardRejectsEventRendezvous: two cores meet at an event
+// rendezvous (SEVS) and sleep in a tight loop. The rendezvous wakes the
+// sleeper without writing data memory, so the platform state recurs every
+// round, but each round records sleep and wake instants a leap would drop.
+func TestSpinFastForwardRejectsEventRendezvous(t *testing.T) {
+	first := `
+.code first
+loop:
+    sevs #0<<16|1<<8|3  ; set bit 0, wait for bits 0 and 1
+    sleep
+    beq  r0, r0, loop
+`
+	second := `
+.code second
+loop:
+    sevs #0<<16|2<<8|3  ; set bit 1, wait for bits 0 and 1
+    sleep
+    beq  r0, r0, loop
+`
+	mk := func(t *testing.T) *Image {
+		return buildImage(t, 0x2000, 0, []string{first, second}, []int{0, 64}, nil)
+	}
+	exact, fast := runModes(t, mcCfg(), mk, 40_000)
+	assertIdentical(t, exact, fast)
+	if fast.SpinLeaps() != 0 {
+		t.Errorf("spin engine leapt %d times over an event rendezvous, want 0", fast.SpinLeaps())
+	}
+}
+
 // TestSpinFastForwardRejectsMarchingRegisters: a poll loop with an
-// iteration counter is PC-periodic (the tracker nominates it) but its
-// register state never recurs, so the platform's periodicity proof must
-// fail and no leap may happen.
+// iteration counter is PC-periodic but its register state never recurs, so
+// the platform's periodicity proof must fail and no leap may happen.
 func TestSpinFastForwardRejectsMarchingRegisters(t *testing.T) {
 	countingConsumer := `
 .code consumer
@@ -195,8 +271,8 @@ spin:
 	}
 }
 
-// TestSpinFastForwardRejectsLongLoop: a loop body longer than the signature
-// window's largest period must never be nominated.
+// TestSpinFastForwardRejectsLongLoop: a loop body of maxSpinPeriod
+// instructions or more opens no spin yield, so it is never nominated.
 func TestSpinFastForwardRejectsLongLoop(t *testing.T) {
 	longConsumer := `
 .code consumer

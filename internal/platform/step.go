@@ -89,16 +89,6 @@ func (p *Platform) Step() error {
 		if !mop.Valid {
 			continue
 		}
-		if p.spin.tracking {
-			// Spin-detector bookkeeping: writes (banked or MMIO) disqualify
-			// the window, reads join the observed-address set. Stall retries
-			// re-note the same read; the set deduplicates.
-			if mop.Write {
-				p.spin.track[c].NoteSideEffect()
-			} else {
-				p.spin.track[c].NoteRead(mop.Addr)
-			}
-		}
 		if isa.IsMMIO(mop.Addr) {
 			// MMIO has a dedicated register file: no arbitration.
 			if mop.Write {
@@ -159,7 +149,6 @@ func (p *Platform) Step() error {
 		}
 		cr := p.cores[c]
 		ins := cr.IR
-		pc := cr.PC
 		eff := cr.Execute(ins, p.loadVal[c], p)
 		if eff.Fault != nil {
 			p.fault = eff.Fault
@@ -171,15 +160,6 @@ func (p *Platform) Step() error {
 		}
 		if eff.Taken {
 			p.ctr.BranchBubbles++
-		}
-		if p.spin.tracking {
-			t := &p.spin.track[c]
-			t.NoteExec(pc)
-			if ins.Op.IsSyncExtension() || ins.Op == isa.OpHALT {
-				// Synchronization operations, SLEEP and HALT are side
-				// effects a spin loop must not contain.
-				t.NoteSideEffect()
-			}
 		}
 	}
 

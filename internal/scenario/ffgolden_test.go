@@ -58,12 +58,19 @@ func spinApp(scn *Scenario) string {
 	return scn.Apps[0]
 }
 
-// runFFGolden runs one scenario cell once in the given mode and returns the
-// platform (no tracer attached: the regime in which the spin engine leaps).
-func runFFGolden(t *testing.T, scn *Scenario, app string, arch power.Arch, exact bool) *platform.Platform {
+// ffGoldenDuration is each golden run's simulated length in seconds.
+const ffGoldenDuration = 0.3
+
+// ffGoldenWindow is the length in cycles of the exact stretch the windowed
+// run steps from its midpoint.
+const ffGoldenWindow = 1000
+
+// newFFGolden builds one scenario cell's platform (no sink attached: the
+// regime in which the spin engine leaps).
+func newFFGolden(t *testing.T, scn *Scenario, app string, arch power.Arch) *platform.Platform {
 	t.Helper()
 	opts := scn.Options()
-	opts.Duration = 0.3
+	opts.Duration = ffGoldenDuration
 	sig, err := opts.Record(app)
 	if err != nil {
 		t.Fatal(err)
@@ -76,9 +83,31 @@ func runFFGolden(t *testing.T, scn *Scenario, app string, arch power.Arch, exact
 	if err != nil {
 		t.Fatal(err)
 	}
+	return p
+}
+
+// runFFGolden runs one scenario cell once in the given mode.
+func runFFGolden(t *testing.T, scn *Scenario, app string, arch power.Arch, exact bool) *platform.Platform {
+	t.Helper()
+	p := newFFGolden(t, scn, app, arch)
 	p.SetExact(exact)
-	if err := p.RunSeconds(opts.Duration); err != nil {
+	if err := p.RunSeconds(ffGoldenDuration); err != nil {
 		t.Fatal(err)
+	}
+	return p
+}
+
+// runFFGoldenWindowed runs one scenario cell fast for total cycles, stepping
+// ffGoldenWindow of them from the midpoint in exact mode and switching back,
+// as wbsn-sim -trace-window does.
+func runFFGoldenWindowed(t *testing.T, scn *Scenario, app string, arch power.Arch, total uint64) *platform.Platform {
+	t.Helper()
+	p := newFFGolden(t, scn, app, arch)
+	for i, n := range []uint64{total / 2, ffGoldenWindow, total - total/2 - ffGoldenWindow} {
+		p.SetExact(i == 1)
+		if err := p.Run(n); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return p
 }
@@ -148,8 +177,9 @@ func assertFFEquivalent(t *testing.T, cores int, exact, fast *platform.Platform)
 }
 
 // assertCyclePartition checks that a fresh platform's engine odometers
-// partition its simulated cycles: each one was leapt idle, leapt spinning,
-// run on a single-core block or a multi-core stride, or stepped.
+// partition its simulated cycles, whatever its mode switches: each one was
+// leapt idle, leapt spinning, run on a single-core block or a multi-core
+// stride, or stepped.
 func assertCyclePartition(t *testing.T, mode string, p *platform.Platform) {
 	t.Helper()
 	ff, spin, block, stride, step := p.FFSkippedCycles(), p.SpinSkippedCycles(), p.BlockCycles(), p.BlockMCCycles(), p.StepCycles()
@@ -163,7 +193,9 @@ func assertCyclePartition(t *testing.T, mode string, p *platform.Platform) {
 // matrix: across every bundled scenario and all three architecture
 // variants, the fast-forwarded run (idle and spin-loop leaps) must be
 // bit-identical to -exact. On MC-nosync with polling consumer stages the
-// spin engine must actually have engaged — the column this PR exists for.
+// spin engine must actually have engaged, and a run with an exact window
+// mid-run must match too and keep its cycle partition across the two mode
+// switches.
 func TestScenarioFastForwardGoldenEquivalence(t *testing.T) {
 	for _, scn := range bundledScenarios(t) {
 		app := spinApp(scn)
@@ -185,6 +217,11 @@ func TestScenarioFastForwardGoldenEquivalence(t *testing.T) {
 				}
 				if arch == power.MCNoSync && app != apps.MF3L && fast.SpinSkippedCycles() == 0 {
 					t.Error("spin fast-forward never engaged on a busy-wait scenario cell")
+				}
+				if arch == power.MCNoSync {
+					windowed := runFFGoldenWindowed(t, scn, app, arch, exact.Cycle())
+					assertFFEquivalent(t, exact.PowerConfig().NumCores, exact, windowed)
+					assertCyclePartition(t, "windowed", windowed)
 				}
 				if arch == power.SC && fast.BlockCycles() == 0 {
 					t.Error("block engine never engaged on the single-core cell")

@@ -53,7 +53,8 @@
 // representation: a zero sample_rate_hz, event_rate_hz, amplitude or
 // noise_amp means "kind default" (use a small non-zero noise_amp for a
 // near-noiseless record); seed is a pointer field, so an explicit 0 is a
-// valid seed.
+// valid seed. An apps entry, or an archs entry's descriptor, that repeats
+// an earlier one is rejected too: every consumer would run it twice.
 package scenario
 
 import (
@@ -63,6 +64,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -264,6 +266,9 @@ func Parse(r io.Reader) (*Scenario, error) {
 		if !known {
 			return nil, fmt.Errorf("apps[%d]: unknown app %q (known: %v)", i, app, apps.Names)
 		}
+		if j := slices.Index(s.Apps[:i], app); j >= 0 {
+			return nil, fmt.Errorf("apps[%d] repeats apps[%d]: list each app once", i, j)
+		}
 	}
 	if len(ff.Archs) > 0 {
 		s.Archs = s.Archs[:0]
@@ -271,6 +276,9 @@ func Parse(r io.Reader) (*Scenario, error) {
 			arch, err := power.ParseArchSpec(name)
 			if err != nil {
 				return nil, fmt.Errorf("archs[%d]: %w", i, err)
+			}
+			if j := slices.IndexFunc(s.Archs, func(b power.Arch) bool { return b.Key() == arch.Key() }); j >= 0 {
+				return nil, fmt.Errorf("archs[%d] repeats archs[%d]: list each sync-unit descriptor once", i, j)
 			}
 			s.Archs = append(s.Archs, arch)
 		}

@@ -127,6 +127,8 @@ func TestParseValidation(t *testing.T) {
 		"bad divisor":    `{"name": "x", "signal": {"kind": "ecg", "rate_div": [1, -1, 1]}}`,
 		"too many chans": `{"name": "x", "signal": {"kind": "ecg", "rate_div": [1, 1, 1, 1]}}`,
 		"zero duration":  `{"name": "x", "signal": {"kind": "ecg"}, "duration_s": 0}`,
+		"repeated app":   `{"name": "x", "signal": {"kind": "ecg"}, "apps": ["3l-mf", "3l-mmd", "3l-mf"]}`,
+		"repeated arch":  `{"name": "x", "signal": {"kind": "ecg"}, "archs": ["mc", "sc", "multi"]}`,
 	}
 	for label, doc := range cases {
 		if _, err := Parse(strings.NewReader(doc)); err == nil {
@@ -183,6 +185,15 @@ func TestPositionalAppArchErrors(t *testing.T) {
 	_, err = Parse(strings.NewReader(`{"name": "x", "signal": {"kind": "ecg"}, "archs": ["sc", "mc", "gpu"]}`))
 	if err == nil || !strings.Contains(err.Error(), "archs[2]") {
 		t.Errorf("unknown arch error lacks its position: %v", err)
+	}
+	// A repeat names both positions, as /v1/sweep does.
+	_, err = Parse(strings.NewReader(`{"name": "x", "signal": {"kind": "ecg"}, "apps": ["3l-mf", "3l-mmd", "3l-mf"]}`))
+	if want := "apps[2] repeats apps[0]: list each app once"; err == nil || err.Error() != want {
+		t.Errorf("repeated app error = %v, want %q", err, want)
+	}
+	_, err = Parse(strings.NewReader(`{"name": "x", "signal": {"kind": "ecg"}, "archs": ["mc", "sc", "multi"]}`))
+	if want := "archs[2] repeats archs[0]: list each sync-unit descriptor once"; err == nil || err.Error() != want {
+		t.Errorf("repeated arch error = %v, want %q", err, want)
 	}
 }
 
