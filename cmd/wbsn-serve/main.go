@@ -5,8 +5,9 @@
 // content-addressed store (-store) across restarts — solved points, probe
 // demands and measurements, so a restarted server answers a measured cell
 // without simulating — and every response body is byte-identical to what
-// a cold single-threaded run of the same request would print. See
-// docs/SERVE.md for the API and the determinism contract.
+// a cold single-threaded run of the same request would print. Each
+// simulation builds its own platform; the session keeps none between
+// requests. See docs/SERVE.md for the API and the determinism contract.
 package main
 
 import (
@@ -24,15 +25,11 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8177", "listen address (host:port; port 0 picks a free port)")
 	scenarioDir := flag.String("scenario-dir", "scenarios", "directory scanned for *.json scenario files servable by name (empty: none)")
 	storeDir := flag.String("store", "", "content-addressed result store directory; solved points, probe demands and measurements persist here across restarts (empty: in-memory only)")
-	templateCap := flag.Int("template-cap", 64, "max pristine platform templates kept in memory (LRU; 0 = unbounded)")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "parallel workers per sweep request (results are identical for any value)")
 	timelineCap := flag.Int("timeline-cap", 0, "event-timeline ring capacity shared by all simulations (0 = no timeline; observation only)")
 	flag.Parse()
 	if *jobs < 1 {
 		fatal(fmt.Errorf("-jobs must be positive, got %d (it bounds each sweep request's worker pool)", *jobs))
-	}
-	if *templateCap < 0 {
-		fatal(fmt.Errorf("-template-cap must be >= 0, got %d (0 keeps the template cache unbounded)", *templateCap))
 	}
 	if *timelineCap < 0 {
 		fatal(fmt.Errorf("-timeline-cap must be >= 0, got %d (0 disables the timeline)", *timelineCap))
@@ -52,7 +49,6 @@ func main() {
 	engine, err := serve.NewEngine(serve.Config{
 		ScenarioDir: *scenarioDir,
 		StoreDir:    *storeDir,
-		TemplateCap: *templateCap,
 		Jobs:        *jobs,
 		TimelineCap: *timelineCap,
 	})

@@ -14,10 +14,11 @@
 //  2. Demand: one probe run at a generous clock estimates the busy-cycle
 //     demand; MC and MC-nosync share the probe (active waiting makes the
 //     no-sync variant's own counters useless for dimensioning).
-//  3. Solve: candidate frequencies fork one pristine platform template,
-//     escalating on real-time violations; failing candidates abort at
-//     their first violation. The passing verification is snapshotted at
-//     the probe boundary.
+//  3. Solve: each candidate frequency runs on a platform built fresh from
+//     the session's application image (built once per app and
+//     architecture), escalating on real-time violations; failing
+//     candidates abort at their first violation. The passing verification
+//     is snapshotted at the probe boundary.
 //  4. Measure: continues the probe-boundary snapshot to Options.Duration
 //     (bit-identical to a from-scratch run) and computes the power report.
 //     The simulated outcome is memoized, so measuring the cell again

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/apps"
 	"repro/internal/memo"
@@ -17,22 +16,24 @@ import (
 
 // Session is the experiment engine: every operating-point solve and power
 // measurement runs through one, and everything expensive a grid of them
-// shares is memoized on it — built application images, pristine platform
-// templates (forked per candidate frequency instead of re-assembling,
-// re-linking and re-loading the program), probe demand estimates (MC and
-// MC-nosync dimension against the same proposed-system probe, so one
-// simulation serves both), solved operating points, measurement outcomes
-// (a grid that measures one cell twice simulates it once), and the
-// probe-boundary platform snapshots that let a first measurement continue
-// the verified probe run instead of re-simulating its warm-up window.
+// shares is memoized on it — built application images, probe demand
+// estimates (MC and MC-nosync dimension against the same proposed-system
+// probe, so one simulation serves both), solved operating points,
+// measurement outcomes (a grid that measures one cell twice simulates it
+// once), and the probe-boundary platform snapshots that let a first
+// measurement continue the verified probe run instead of re-simulating its
+// warm-up window. Platforms are not memoized: every probe, candidate
+// verification and cold measurement builds its own from the memoized image
+// (newPlatform), exactly as the from-scratch reference does, and the
+// session keeps none between calls.
 //
 // Results are bit-identical to solving and measuring each point from
-// scratch: forking a pristine template equals building a fresh platform,
-// continuing a snapshot equals never having stopped (both pinned by
-// internal/platform's golden tests), and the remaining reuse is pure
-// memoization of deterministic computations. The session-vs-scratch golden
-// matrix in session_test.go enforces this across every benchmark,
-// architecture and bundled scenario.
+// scratch: platforms are built as the reference builds them, continuing a
+// snapshot equals never having stopped (pinned by internal/platform's
+// golden tests), and the remaining reuse is pure memoization of
+// deterministic computations. The session-vs-scratch golden matrix in
+// session_test.go enforces this across every benchmark, architecture and
+// bundled scenario.
 //
 // A Session is safe for concurrent use; the parallel sweep engine threads
 // one through its whole worker pool. Solved points, demand estimates and
@@ -44,11 +45,10 @@ type Session struct {
 
 	// The memos: each runs a key's computation once among concurrent
 	// callers and remembers its outcome (internal/memo).
-	variants  *memo.Table[variantKey, *apps.Variant]
-	templates atomic.Pointer[memo.Table[templateKey, *platform.Platform]]
-	demands   *memo.Table[string, float64]
-	solved    *memo.Table[string, OperatingPoint]
-	measured  *memo.Table[string, MeasureOutcome]
+	variants *memo.Table[variantKey, *apps.Variant]
+	demands  *memo.Table[string, float64]
+	solved   *memo.Table[string, OperatingPoint]
+	measured *memo.Table[string, MeasureOutcome]
 
 	mu    sync.Mutex
 	warm  map[warmKey]*platform.Snapshot
@@ -62,7 +62,10 @@ type Session struct {
 type SessionStats struct {
 	// Builds is the number of application images actually assembled/linked.
 	Builds uint64
-	// Forks is the number of platforms rehydrated from a template.
+	// Forks is the number of platforms the session built for probes,
+	// candidate verifications and cold measurements; a warm measurement's
+	// platform counts under WarmMeasures instead. (The name is historical;
+	// perfbench and CI read it by name.)
 	Forks uint64
 	// ProbeRuns is the number of demand-estimation simulations executed.
 	ProbeRuns uint64
@@ -142,13 +145,12 @@ func (st SessionStats) Publish(reg *obs.Registry) {
 }
 
 // NewSession returns an empty session calibrated by params (nil selects
-// power.DefaultParams()). The template cache starts unbounded, matching the
-// one-shot CLI shape; long-running owners bound it with SetTemplateCap.
+// power.DefaultParams()).
 func NewSession(params *power.Params) *Session {
 	if params == nil {
 		params = power.DefaultParams()
 	}
-	s := &Session{
+	return &Session{
 		params:   params,
 		cache:    signal.NewCache(),
 		variants: memo.New[variantKey, *apps.Variant](0),
@@ -157,37 +159,25 @@ func NewSession(params *power.Params) *Session {
 		measured: memo.New[string, MeasureOutcome](0),
 		warm:     map[warmKey]*platform.Snapshot{},
 	}
-	s.SetTemplateCap(0)
-	return s
 }
 
 // Cache returns the session's signal cache, shared so callers (the sweep
 // engine, the CLIs) key their own synthesis through the same memoization.
 func (s *Session) Cache() *signal.Cache { return s.cache }
 
-// SetTemplateCap bounds the pristine-platform template cache to at most n
-// entries, evicting least-recently-used templates (n <= 0 restores the
-// unbounded default). Templates are megabytes each and purely memoized — an
-// evicted one is rebuilt on next use with bit-identical results — so the cap
-// trades wall-clock amortization for a flat memory ceiling, which is what a
-// long-running server wants under workload diversity. Existing entries are
-// dropped; in-flight users of their platforms are unaffected (entries are
-// reference-held, the cache only forgets them).
-func (s *Session) SetTemplateCap(n int) {
-	s.templates.Store(memo.New[templateKey, *platform.Platform](n))
-}
-
-// TemplateCacheStats returns the template cache's cumulative hit, miss and
-// eviction counts (reset by SetTemplateCap).
+// TemplateCacheStats returns zeros: the session keeps no platform
+// templates.
+//
+// Deprecated: the template cache is gone; every platform is built from its
+// image. Kept only until perfbench stops calling it.
 func (s *Session) TemplateCacheStats() (hits, misses, evictions uint64) {
-	return s.templates.Load().Stats()
+	return 0, 0, 0
 }
 
 // PublishMetrics publishes everything the session can report into reg: the
-// work counters (SessionStats.Publish) plus the signal-cache and
-// template-cache hit/miss/eviction counters. Idempotent (absolute values),
-// so both the end-of-run CLIs and the serving layer's per-scrape metrics
-// endpoint call it freely.
+// work counters (SessionStats.Publish) plus the signal-cache request, synth
+// and hit counters. Idempotent (absolute values), so both the end-of-run
+// CLIs and the serving layer's per-scrape metrics endpoint call it freely.
 func (s *Session) PublishMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -197,10 +187,6 @@ func (s *Session) PublishMetrics(reg *obs.Registry) {
 	reg.Set("signal.cache.requests", req)
 	reg.Set("signal.cache.synths", syn)
 	reg.Set("signal.cache.hits", req-syn)
-	th, tm, te := s.TemplateCacheStats()
-	reg.Set("session.template.hits", th)
-	reg.Set("session.template.misses", tm)
-	reg.Set("session.template.evictions", te)
 }
 
 // SetParams replaces the power calibration used by subsequent measurements,
@@ -243,9 +229,9 @@ func (s *Session) count(f func(*SessionStats)) {
 }
 
 // recordFF accumulates the fast-forward and block-engine work of p into the
-// session statistics. Every platform a session runs is a fresh fork or
-// restore, whose engine odometers start at zero, so each platform's totals
-// are added once, after its last run.
+// session statistics. Every platform a session runs is freshly built or
+// restored, so its engine odometers start at zero and its totals are added
+// once, after its last run.
 func (s *Session) recordFF(p *platform.Platform) {
 	s.count(func(st *SessionStats) {
 		st.FFLeaps += p.FFLeaps()
@@ -282,11 +268,6 @@ type variantKey struct {
 	Arch power.Arch
 }
 
-type templateKey struct {
-	VK  variantKey
-	Src sourceKey
-}
-
 type warmKey struct {
 	VK            variantKey
 	Sig           sourceKey
@@ -305,33 +286,15 @@ func (s *Session) variant(app string, arch power.Arch) (*apps.Variant, error) {
 	return v, err
 }
 
-// template returns the session's pristine (never-run) platform for
-// (app, arch, record): the fork source for every candidate operating point.
-// Templates are built at the probe clock; forks override clock, voltage and
-// exactness. A template is never simulated, so concurrent forks — which only
-// read it — are safe.
-func (s *Session) template(app string, arch power.Arch, src *signal.Source) (*platform.Platform, error) {
-	v, err := s.variant(app, arch)
+// newPlatform builds a fresh platform from v's image fed with src at an
+// operating point, exactly as the from-scratch reference does, and counts
+// it in SessionStats.Forks.
+func (s *Session) newPlatform(v *apps.Variant, src *signal.Source, clockHz, voltageV float64, exact bool) (*platform.Platform, error) {
+	p, err := v.NewPlatform(src, clockHz, voltageV)
 	if err != nil {
 		return nil, err
 	}
-	k := templateKey{VK: variantKey{App: app, Arch: arch}, Src: keyOf(src)}
-	p, _, err := s.templates.Load().Do(k, func() (*platform.Platform, error) {
-		return v.NewPlatform(src, probeClockHz, 1.0)
-	})
-	return p, err
-}
-
-// fork rehydrates a template at an operating point.
-func (s *Session) fork(tmpl *platform.Platform, clockHz, voltageV float64, exact bool) (*platform.Platform, error) {
-	cfg := tmpl.Config()
-	cfg.ClockHz = clockHz
-	cfg.VoltageV = voltageV
-	cfg.Exact = exact
-	p, err := tmpl.Fork(cfg)
-	if err != nil {
-		return nil, err
-	}
+	p.SetExact(exact)
 	s.count(func(st *SessionStats) { st.Forks++ })
 	return p, nil
 }
@@ -377,7 +340,7 @@ func solveKeyString(app string, arch power.Arch, sig, probe sourceKey, opts Opti
 // voltage for app on arch fed with sig, exactly as
 // SolveOperatingPointFromScratch does, but amortized through the session:
 // the demand probe simulates once per (app, demand architecture, record),
-// every candidate frequency runs on a Fork of one pristine template, failed
+// the application image is built once per (app, architecture), failed
 // candidates abort at the first real-time violation instead of completing
 // their probe window (violations only accumulate, so the verdict — and
 // hence the solved point — is unchanged), and the verified probe run is
@@ -407,19 +370,15 @@ func (s *Session) demand(ctx context.Context, app string, demandArch power.Arch,
 }
 
 // runProbe executes the busy-cycle estimation run at the generous probe
-// clock, mirroring the from-scratch path bit for bit (the template fork
-// equals a fresh platform). Probe failures come back as *probeError so the
-// requesting solve can label them with its own architecture.
+// clock, mirroring the from-scratch path bit for bit. Probe failures come
+// back as *probeError so the requesting solve can label them with its own
+// architecture.
 func (s *Session) runProbe(ctx context.Context, app string, demandArch power.Arch, probeSig *signal.Source, baseRateHz float64, opts Options) (float64, error) {
 	v, err := s.variant(app, demandArch)
 	if err != nil {
 		return 0, err
 	}
-	tmpl, err := s.template(app, demandArch, probeSig)
-	if err != nil {
-		return 0, err
-	}
-	p, err := s.fork(tmpl, probeClockHz, 1.0, opts.Exact)
+	p, err := s.newPlatform(v, probeSig, probeClockHz, 1.0, opts.Exact)
 	if err != nil {
 		return 0, err
 	}
@@ -483,7 +442,7 @@ func (s *Session) solve(ctx context.Context, app string, arch power.Arch, sig, p
 		return OperatingPoint{}, err
 	}
 
-	tmpl, err := s.template(app, arch, sig)
+	v, err := s.variant(app, arch)
 	if err != nil {
 		return OperatingPoint{}, err
 	}
@@ -505,7 +464,7 @@ func (s *Session) solve(ctx context.Context, app string, arch power.Arch, sig, p
 		if err != nil {
 			return OperatingPoint{}, err
 		}
-		pp, err := s.fork(tmpl, freq, op.VoltageV, opts.Exact)
+		pp, err := s.newPlatform(v, sig, freq, op.VoltageV, opts.Exact)
 		if err != nil {
 			return OperatingPoint{}, err
 		}
@@ -641,7 +600,7 @@ func (s *Session) Measure(ctx context.Context, app string, arch power.Arch, op O
 
 // measure simulates one measurement and returns its outcome, continuing the
 // probe-boundary snapshot when the session holds one for this
-// configuration and forking the pristine template otherwise.
+// configuration and building a fresh platform otherwise.
 func (s *Session) measure(ctx context.Context, v *apps.Variant, app string, arch power.Arch, op OperatingPoint, sig *signal.Source, opts Options) (MeasureOutcome, error) {
 	if err := ctx.Err(); err != nil {
 		return MeasureOutcome{}, err
@@ -701,11 +660,8 @@ func (s *Session) measure(ctx context.Context, v *apps.Variant, app string, arch
 		}
 	}
 	if p == nil {
-		tmpl, err := s.template(app, arch, sig)
-		if err != nil {
-			return MeasureOutcome{}, err
-		}
-		p, err = s.fork(tmpl, op.FreqHz, op.VoltageV, opts.Exact)
+		var err error
+		p, err = s.newPlatform(v, sig, op.FreqHz, op.VoltageV, opts.Exact)
 		if err != nil {
 			return MeasureOutcome{}, err
 		}

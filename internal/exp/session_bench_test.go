@@ -20,9 +20,9 @@ import (
 //   - from-scratch: the reference — every candidate rebuilds the
 //     application and simulates its full window, every measurement restarts
 //     from reset.
-//   - session: one fresh Session per iteration — candidates fork a pristine
-//     template, failing candidates abort at their first real-time
-//     violation, builds and probes are shared.
+//   - session: one fresh Session per iteration — each candidate runs on a
+//     platform built from the session's image, failing candidates abort at
+//     their first real-time violation, builds and probes are shared.
 //   - stored: each fresh Session is backed by the store a previous
 //     session filled, the wbsn-bench -store re-run workflow — solves and
 //     measurements are both answered from the store, so the column

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -15,8 +16,8 @@ import (
 var sessionArchs = []power.Arch{power.SC, power.MCNoSync, power.MC}
 
 // TestSessionSolveMatchesScratch pins the core equivalence contract on the
-// paper's default ECG configuration: the fork-per-candidate, early-aborting,
-// probe-sharing session solve returns bit-identical operating points to the
+// paper's default ECG configuration: the early-aborting, probe-sharing
+// session solve returns bit-identical operating points to the
 // from-scratch reference for every benchmark on every architecture.
 func TestSessionSolveMatchesScratch(t *testing.T) {
 	opts := tinyOpts()
@@ -53,7 +54,7 @@ func TestSessionSolveMatchesScratch(t *testing.T) {
 		t.Errorf("session reran shared probes: %d demand hits, want >= 3 (stats %+v)", st.DemandHits, st)
 	}
 	if st.Forks == 0 || st.ProbeRuns == 0 {
-		t.Errorf("session did not exercise the fork path: %+v", st)
+		t.Errorf("session built no platform or ran no probe: %+v", st)
 	}
 }
 
@@ -131,6 +132,55 @@ func TestSessionMeasureColdFallsBack(t *testing.T) {
 	}
 	if again == cold || again.Report == cold.Report {
 		t.Error("a memo hit returned the first caller's Measurement instead of its own")
+	}
+}
+
+// TestSessionKeepsNoPlatform: a session memoizes results, not platforms.
+// Solving and measuring 3L-MF on SC and MC for eight more seeds, after a
+// first seed has built both application images, must grow the live heap by
+// well under one platform per seed (a platform is about 0.66 MB). A session
+// that kept a pristine template per (app, architecture, record) grew by
+// about 20 MB over these eight seeds.
+func TestSessionKeepsNoPlatform(t *testing.T) {
+	ctx := context.Background()
+	s := NewSession(nil)
+	cell := func(seed int64) {
+		opts := Options{Duration: 0.5, ProbeDuration: 0.3, PathoFrac: 0.2, Seed: seed, Cache: s.Cache()}
+		for _, arch := range []power.Arch{power.SC, power.MC} {
+			sig, err := opts.Record(apps.MF3L)
+			if err != nil {
+				t.Fatal(err)
+			}
+			op, err := s.SolveOperatingPoint(ctx, apps.MF3L, arch, sig, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Measure(ctx, apps.MF3L, arch, op, sig, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	liveHeap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	cell(1)
+	before := liveHeap()
+	for seed := int64(2); seed <= 9; seed++ {
+		cell(seed)
+	}
+	after := liveHeap()
+	runtime.KeepAlive(s)
+	if st := s.Stats(); st.Forks == 0 || st.Builds != 2 {
+		t.Fatalf("session built %d platforms from %d images, want > 0 from 2", st.Forks, st.Builds)
+	}
+	t.Logf("live heap %d -> %d bytes over seeds 2-9", before, after)
+	if after > before && after-before >= 1<<20 {
+		t.Errorf("live heap grew by %.2f MB over seeds 2-9, want under 1 MB: the session keeps platforms alive",
+			float64(after-before)/(1<<20))
 	}
 }
 

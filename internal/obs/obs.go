@@ -54,7 +54,7 @@ const (
 	// lock-step strides).
 	KindBlockStride
 	// KindPhase is an operating-point session phase (probe, verify,
-	// measure) spanning Dur cycles of the forked platform's clock;
+	// measure) spanning Dur cycles of the phase's platform clock;
 	// Label carries the phase and point being solved.
 	KindPhase
 	// KindCoreState marks a core's new pipeline state on an exact cycle

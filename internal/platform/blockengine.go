@@ -73,7 +73,7 @@
 // compose: idle FF / spin FF / single-core blocks / multi-core strides.
 //
 // Like the fast-forward engines, everything here is simulation-process
-// state: Restore and Fork reset it (snapshot.go) and leap/engagement
+// state: Restore resets it (snapshot.go) and leap/engagement
 // placement may differ across Run chunkings while every architectural
 // observable stays bit-identical — enforced by blockengine_test.go, the
 // randomized cross-engine differential fuzzer (difffuzz_test.go), the
@@ -119,8 +119,9 @@ type spinYield struct {
 
 // blockEngine is the engine state embedded in Platform.
 type blockEngine struct {
-	// set is the image's basic-block metadata, built once in New and shared
-	// with forks (the image is immutable).
+	// set is the loaded instruction memory's basic-block metadata, analyzed
+	// by New for every platform; it never changes after that, and Restore
+	// keeps it.
 	set *mem.BlockSet
 
 	// Sticky per-core spin yields: once every running core's PC lies in its
@@ -155,8 +156,8 @@ func (b *blockEngine) blockInit(ncore int) {
 // BlockRuns returns how many times the basic-block engine engaged its
 // single-core fast path for at least one cycle. Like FFLeaps it is a
 // wall-clock diagnostic: identical simulations chunked differently may
-// engage differently while producing bit-identical results. Restore and
-// Fork reset it.
+// engage differently while producing bit-identical results. Restore resets
+// it.
 func (p *Platform) BlockRuns() uint64 { return p.block.runs }
 
 // BlockCycles returns how many cycles were executed by the single-core
@@ -167,7 +168,7 @@ func (p *Platform) BlockRuns() uint64 { return p.block.runs }
 func (p *Platform) BlockCycles() uint64 { return p.block.cycles }
 
 // BlockMCStrides returns how many multi-core strides executed at least one
-// cycle. A wall-clock diagnostic like BlockRuns; Restore and Fork reset it.
+// cycle. A wall-clock diagnostic like BlockRuns; Restore resets it.
 func (p *Platform) BlockMCStrides() uint64 { return p.block.mcRuns }
 
 // BlockMCCycles returns how many cycles were executed inside multi-core
@@ -177,7 +178,7 @@ func (p *Platform) BlockMCStrides() uint64 { return p.block.mcRuns }
 func (p *Platform) BlockMCCycles() uint64 { return p.block.mcCycles }
 
 // blockReset clears the engine's sticky yields, loop verdicts and
-// diagnostics: Restore, Fork. The block tables themselves derive from the
+// diagnostics: Restore. The block tables themselves derive from the
 // immutable image and survive.
 func (p *Platform) blockReset() {
 	for c := range p.block.yield {

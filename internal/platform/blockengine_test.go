@@ -236,8 +236,8 @@ func blockKernelMCImage() *Image {
 
 // TestBlockEngineSnapshotMidStrideMC is the multi-core mirror of
 // TestBlockEngineSnapshotMidBlock: the snapshot boundary falls inside a
-// multi-core stride, and restore/fork/continue must all stay bit-identical
-// to an exact straight-through run. Two inputs: the four-core lock-step
+// multi-core stride, and restore/continue must both stay bit-identical to
+// an exact straight-through run. Two inputs: the four-core lock-step
 // kernel, and the contended kernel with the boundary at a cycle where a core
 // holds a DM-stalled fetch, which the restored platform's strides must
 // replay. Engagement statistics are process state, so the restored platform
@@ -299,12 +299,7 @@ func TestBlockEngineSnapshotMidStrideMC(t *testing.T) {
 					restored.BlockMCStrides(), restored.BlockMCCycles())
 			}
 
-			fork, err := fast.Fork(fast.Config())
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			for name, p := range map[string]*Platform{"original": fast, "restored": restored, "forked": fork} {
+			for name, p := range map[string]*Platform{"original": fast, "restored": restored} {
 				if err := p.Run(total - first); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -322,9 +317,9 @@ func TestBlockEngineSnapshotMidStrideMC(t *testing.T) {
 
 // TestBlockEngineSnapshotMidBlock pins the process-state contract: a
 // snapshot taken while the block engine is mid-stride (the budget boundary
-// falls inside a basic block) restores onto a fresh platform, forks onto a
-// new one, and both — like the original continuing — stay bit-identical to
-// an exact straight-through run.
+// falls inside a basic block) restores onto a fresh platform, which — like
+// the original continuing — stays bit-identical to an exact straight-through
+// run.
 func TestBlockEngineSnapshotMidBlock(t *testing.T) {
 	const total, first = 50_000, 12_345
 	cfg := scCfg()
@@ -363,12 +358,7 @@ func TestBlockEngineSnapshotMidBlock(t *testing.T) {
 			restored.BlockRuns(), restored.BlockCycles())
 	}
 
-	fork, err := fast.Fork(fast.Config())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for name, p := range map[string]*Platform{"original": fast, "restored": restored, "forked": fork} {
+	for name, p := range map[string]*Platform{"original": fast, "restored": restored} {
 		if err := p.Run(total - first); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -30,12 +30,9 @@
 //
 // # Snapshots
 //
-// Snapshot/Restore/Fork (snapshot.go) deep-copy, rewind and rehydrate the
-// platform's mutable state. The invariants callers rely on: continuing a
-// restored platform is bit-identical to never having stopped; forking a
-// pristine platform equals building a fresh one; a fork onto a new clock
-// re-derives frequency-dependent state (ADC sampling grids) and preserves
-// cycle-denominated state (remaining wake latencies). Fast-forward
+// Snapshot/Restore (snapshot.go) deep-copy and rewind the platform's
+// mutable state. The invariant callers rely on: continuing a restored
+// platform is bit-identical to never having stopped. Fast-forward
 // bookkeeping is wall-clock diagnostics, not simulated state: leap
 // placement may differ across Run chunkings and restores while every
 // architectural observable stays identical.
@@ -127,7 +124,6 @@ type Config struct {
 // Platform is one instantiated system ready to run.
 type Platform struct {
 	cfg   Config
-	img   *Image
 	ncore int
 
 	cores  []*cpu.Core
@@ -147,7 +143,7 @@ type Platform struct {
 	lastCycleIdle bool // previous stepped cycle had every core idle/halted
 
 	// Idle-leap and stepped-cycle odometers: process state like the spin
-	// and block diagnostics, so Restore and Fork reset them.
+	// and block diagnostics, so Restore resets them.
 	ffLeaps   uint64 // bulk leaps taken
 	ffSkipped uint64 // cycles accounted in bulk instead of stepped
 	stepped   uint64 // cycles Step advanced
@@ -180,7 +176,7 @@ type Platform struct {
 	hostFlag uint16
 
 	// Observability sink state (see internal/obs): process state like the
-	// spin/block diagnostics, reset on adopt(), never snapshotted.
+	// spin/block diagnostics, reset on Restore, never snapshotted.
 	obs      *obs.Sink
 	obsWait  []uint64                      // per-core barrier-arrival cycle stamp (0 = none)
 	obsADC   [periph.NumADCChannels]uint64 // per-channel published-sample count
@@ -323,7 +319,6 @@ func New(cfg Config, img *Image) (*Platform, error) {
 
 	p := &Platform{
 		cfg:         cfg,
-		img:         img,
 		ncore:       n,
 		imem:        mem.NewIMem(),
 		dmem:        mem.NewDMem(),
@@ -481,19 +476,18 @@ func (p *Platform) SetExact(exact bool) {
 func (p *Platform) Exact() bool { return p.exact }
 
 // FFLeaps returns how many bulk idle leaps the fast-forward engine took.
-// Like SpinLeaps it is a wall-clock diagnostic that Restore and Fork reset.
+// Like SpinLeaps it is a wall-clock diagnostic that Restore resets.
 func (p *Platform) FFLeaps() uint64 { return p.ffLeaps }
 
 // FFSkippedCycles returns how many cycles were accounted in bulk by the
-// fast-forward engine instead of being individually stepped. Restore and
-// Fork reset it.
+// fast-forward engine instead of being individually stepped. Restore resets
+// it.
 func (p *Platform) FFSkippedCycles() uint64 { return p.ffSkipped }
 
 // StepCycles returns how many cycles Step simulated one by one. On a
 // platform that was never restored, whatever its mode switches, it
 // completes the cycle partition: FFSkippedCycles + SpinSkippedCycles +
-// BlockCycles + BlockMCCycles + StepCycles == Cycle. Restore and Fork reset
-// it.
+// BlockCycles + BlockMCCycles + StepCycles == Cycle. Restore resets it.
 func (p *Platform) StepCycles() uint64 { return p.stepped }
 
 // Cycle returns the current cycle number.

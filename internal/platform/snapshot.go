@@ -3,19 +3,16 @@
 // A Snapshot deep-copies everything a run mutates — core pipelines and
 // register files, data-memory banks, the synchronizer, crossbar arbitration
 // phases, ADC sampling grids, power counters and the debug streams — so a
-// simulation can be rewound (Restore), resumed
-// in a later process (the versioned SnapshotFile encoding), or rehydrated
-// under a different operating point (Fork). Restoring and continuing is
+// simulation can be rewound (Restore) or resumed in a later process (the
+// versioned SnapshotFile encoding). Restoring and continuing is
 // bit-identical to having simulated straight through: Run(a) followed by
 // Run(b) steps exactly the cycles Run(a+b) would, and a snapshot taken
 // between them captures every bit of observable state (enforced by
 // snapshot_test.go's golden tests).
 //
-// Fork is the primitive the experiment layer's operating-point search is
-// built on: candidate frequencies are probed by forking one pristine platform
-// per configuration instead of re-assembling, re-linking and re-loading the
-// application for every candidate, and a verified probe run is forked into
-// the measurement run so the shared warm-up window is simulated once.
+// The experiment layer restores a verified probe run's boundary snapshot
+// onto the measurement platform, so the shared warm-up window is simulated
+// once.
 package platform
 
 import (
@@ -38,7 +35,7 @@ import (
 // image instead of storing 96 KB per checkpoint.
 type Snapshot struct {
 	// Identity of the configuration the snapshot was captured under, checked
-	// (and, for Fork, rebased) on restore.
+	// on restore.
 	Arch    power.Arch
 	ClockHz float64
 	NCore   int
@@ -68,10 +65,10 @@ type Snapshot struct {
 }
 
 // Snapshot deep-copies the platform's mutable state. It is a pure read: the
-// platform is left untouched, and snapshotting an idle platform from several
-// goroutines (as the experiment session does with its pristine templates) is
-// safe. Must be called at a cycle boundary — any point outside Step/Run,
-// which is the only place callers can observe the platform anyway.
+// platform is left untouched, and snapshotting a platform nobody is running
+// from several goroutines is safe. Must be called at a cycle boundary — any
+// point outside Step/Run, which is the only place callers can observe the
+// platform anyway.
 func (p *Platform) Snapshot() *Snapshot {
 	s := &Snapshot{
 		Arch:          p.cfg.Arch,
@@ -115,21 +112,14 @@ func (p *Platform) Snapshot() *Snapshot {
 // and — uncheckable here, so the caller's responsibility — the same program
 // image and input traces the snapshot was captured under; checkpoint files
 // carry metadata for exactly that validation. Continuing a restored platform
-// is bit-identical to never having stopped. To rehydrate under a different
-// clock, use Fork.
+// is bit-identical to never having stopped.
 func (p *Platform) Restore(s *Snapshot) error {
 	if s.Arch != p.cfg.Arch {
 		return fmt.Errorf("platform: restoring a %v snapshot onto a %v platform", s.Arch, p.cfg.Arch)
 	}
 	if s.ClockHz != p.cfg.ClockHz {
-		return fmt.Errorf("platform: restoring a %.0f Hz snapshot onto a %.0f Hz platform (use Fork to rebase the clock)", s.ClockHz, p.cfg.ClockHz)
+		return fmt.Errorf("platform: restoring a %.0f Hz snapshot onto a %.0f Hz platform", s.ClockHz, p.cfg.ClockHz)
 	}
-	return p.adopt(s)
-}
-
-// adopt overwrites the platform's mutable state with the snapshot's,
-// assuming identity checks (or Fork's rebase) already happened.
-func (p *Platform) adopt(s *Snapshot) error {
 	if s.NCore != p.ncore {
 		return fmt.Errorf("platform: snapshot has %d cores, platform %d", s.NCore, p.ncore)
 	}
@@ -179,8 +169,8 @@ func (p *Platform) adopt(s *Snapshot) error {
 	// simulation-process state, not simulated state: it only influences
 	// *when* the spin engine leaps, never what any leap produces, so
 	// snapshots deliberately omit it and restoring simply re-probes. This
-	// keeps Restore/Fork bit-identical to never having stopped while
-	// letting leap placement differ — exactly like Run-call chunking does.
+	// keeps Restore bit-identical to never having stopped while letting
+	// leap placement differ — exactly like Run-call chunking does.
 	// The block engine's yield spans, loop verdicts and engagement
 	// statistics, and the idle-leap and stepped-cycle odometers, are
 	// process state for the same reason: a restored platform re-engages
@@ -196,69 +186,6 @@ func (p *Platform) adopt(s *Snapshot) error {
 	p.obsReset()
 	return nil
 }
-
-// Fork rehydrates the platform's current state into a new platform built
-// from cfg, which may select a different clock frequency and supply voltage.
-// The program image is shared (it is immutable); cfg is validated exactly as
-// New validates it, so frequency-dependent state is re-derived rather than
-// carried over: ADC sampling grids are recomputed from the per-channel
-// sample indices on the new clock (rejecting rates the new clock cannot
-// sustain), pending wake latencies keep their remaining cycle counts (wake
-// latency is a cycle-denominated hardware constant), and subsequent
-// RunSeconds cycle budgets use the new clock.
-//
-// Forking a pristine (never-run) platform is bit-identical to building a
-// fresh one with New — that degenerate fork is what the operating-point
-// search uses to probe candidate frequencies without re-running the
-// application build. Forking mid-run rebases the cycle position
-// proportionally (preserving the simulated wall-clock instant), which keeps
-// real-time behaviour — sampling cadence, overruns, deadline checks — exact;
-// the accumulated activity counters are carried over verbatim, so a
-// cross-frequency fork's power report spans both clock epochs and is meant
-// for feasibility probing, not for calibrated power measurement.
-func (p *Platform) Fork(cfg Config) (*Platform, error) {
-	if cfg.Arch != p.cfg.Arch {
-		return nil, fmt.Errorf("platform: cannot fork a %v platform as %v: the program image is architecture-specific", p.cfg.Arch, cfg.Arch)
-	}
-	p2, err := New(cfg, p.img)
-	if err != nil {
-		return nil, err
-	}
-	s := p.Snapshot()
-	if cfg.ClockHz != s.ClockHz {
-		ratio := cfg.ClockHz / s.ClockHz
-		newCycle := uint64(float64(s.Cycle)*ratio + 0.5)
-		for c := range s.Sync.WakeAt {
-			if s.Sync.WakeAt[c] > s.Cycle {
-				s.Sync.WakeAt[c] = newCycle + (s.Sync.WakeAt[c] - s.Cycle)
-			} else {
-				s.Sync.WakeAt[c] = 0
-			}
-		}
-		// Armed sync-timeout deadlines are cycle-denominated like wake
-		// latencies: the remaining wait budget carries over onto the new
-		// clock's cycle grid.
-		for c := range s.Sync.TimeoutAt {
-			if s.Sync.TimeoutAt[c] > s.Cycle {
-				s.Sync.TimeoutAt[c] = newCycle + (s.Sync.TimeoutAt[c] - s.Cycle)
-			} else {
-				s.Sync.TimeoutAt[c] = 0
-			}
-		}
-		s.Cycle = newCycle
-		s.Sync.Cycle = newCycle
-		s.ClockHz = cfg.ClockHz
-	}
-	if err := p2.adopt(s); err != nil {
-		return nil, err
-	}
-	return p2, nil
-}
-
-// Config returns a copy of the platform's configuration: the natural
-// starting point for a Fork at a different operating point (adjust ClockHz
-// and VoltageV, keep the traces).
-func (p *Platform) Config() Config { return p.cfg }
 
 // CyclesFor converts a simulated duration to this platform's whole-cycle
 // budget, with RunSeconds' round-to-nearest semantics. Callers slicing a run

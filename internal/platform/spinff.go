@@ -104,7 +104,7 @@ type spinFF struct {
 // SpinLeaps returns how many bulk spin-loop leaps the fast-forward engine
 // took. Like FFLeaps it is a wall-clock diagnostic: identical simulations
 // chunked differently may leap differently while producing bit-identical
-// results. Restore and Fork reset it.
+// results. Restore resets it.
 func (p *Platform) SpinLeaps() uint64 { return p.spin.leaps }
 
 // SpinSkippedCycles returns how many cycles were accounted arithmetically by
@@ -112,7 +112,7 @@ func (p *Platform) SpinLeaps() uint64 { return p.spin.leaps }
 // like SpinLeaps.
 func (p *Platform) SpinSkippedCycles() uint64 { return p.spin.skipped }
 
-// spinReset clears probe state: New, Restore, Fork. The leap statistics
+// spinReset clears probe state: New, Restore. The leap statistics
 // reset too — they describe this engine instance's work, not the simulated
 // run.
 func (p *Platform) spinReset() {

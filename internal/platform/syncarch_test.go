@@ -114,39 +114,6 @@ func TestMidTimeoutSnapshotRestore(t *testing.T) {
 	}
 }
 
-// TestMidTimeoutForkRebasesDeadline: forking to a different clock while a
-// deadline is armed preserves the remaining cycle-denominated wait budget,
-// and the forked run still recovers through the timeout.
-func TestMidTimeoutForkRebasesDeadline(t *testing.T) {
-	p, err := New(timeoutCfg(), stallImage(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Run(100); err != nil {
-		t.Fatal(err)
-	}
-	remaining := p.sync.TimeoutDeadline(1) - p.Cycle()
-	if remaining == 0 || remaining > 600 {
-		t.Fatalf("test setup: remaining wait = %d, want an armed deadline", remaining)
-	}
-	cfg := p.Config()
-	cfg.ClockHz = 2e6
-	forked, err := p.Fork(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := forked.sync.TimeoutDeadline(1) - forked.Cycle(); got != remaining {
-		t.Errorf("forked remaining wait = %d cycles, want %d carried over", got, remaining)
-	}
-	if err := forked.Run(5_000); err != nil {
-		t.Fatal(err)
-	}
-	if !forked.AllHalted() || forked.Counters().SyncTimeouts != 1 {
-		t.Errorf("forked run: halted=%v SyncTimeouts=%d, want recovery through the timeout",
-			forked.AllHalted(), forked.Counters().SyncTimeouts)
-	}
-}
-
 // TestDeadlockDiagnosis: the same stalled wait under a descriptor with no
 // timeout never recovers; the platform must diagnose the wedge (gated cores,
 // no wake source) and name the waiting core.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -273,6 +274,39 @@ func TestArchStrings(t *testing.T) {
 	}
 	if SC.IsMulti() || !MC.IsMulti() || !MCNoSync.IsMulti() {
 		t.Error("IsMulti mismatch")
+	}
+}
+
+// TestParseArchSpec: names and structural specs parse to their
+// descriptors, and invalid specs are rejected with an error naming the
+// rule. A timeout above MaxTimeoutCycles would let the sync unit's
+// deadline (cycle + timeout) wrap, which used to panic mid-run.
+func TestParseArchSpec(t *testing.T) {
+	good := map[string]Arch{
+		"mc":                          MC,
+		"MC-nosync":                   MCNoSync,
+		"multi,groups=0x0F+0x18":      {Multi: true, Groups: [MaxSyncGroups]uint8{0x0F, 0x18}},
+		"multi,timeout=50000000":      {Multi: true, TimeoutCycles: 50_000_000},
+		"multi,timeout=1099511627776": {Multi: true, TimeoutCycles: MaxTimeoutCycles},
+	}
+	for spec, want := range good {
+		if got, err := ParseArchSpec(spec); err != nil || got != want {
+			t.Errorf("ParseArchSpec(%q) = %+v, %v; want %+v", spec, got, err, want)
+		}
+	}
+	bad := map[string]string{
+		"gpu":                                "unknown descriptor",
+		"timeout=100":                        "require the multi-core fabric",
+		"multi,busywait,timeout=100":         "busy-wait variant",
+		"multi,groups=0x0F+0x00+0x18":        "sync group 1 is empty",
+		"multi,timeout=1099511627777":        "exceeds the limit of 1099511627776 cycles",
+		"multi,timeout=18446744073709551615": "exceeds the limit of 1099511627776 cycles",
+	}
+	for spec, want := range bad {
+		_, err := ParseArchSpec(spec)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ParseArchSpec(%q) error = %v, want one containing %q", spec, err, want)
+		}
 	}
 }
 

@@ -159,8 +159,8 @@ func ParseArchSpec(spec string) (Arch, error) {
 }
 
 // Validate checks a descriptor's internal consistency: group masks and
-// timeouts require the multi-core fabric, and a busy-wait variant has no
-// sync unit to configure.
+// timeouts require the multi-core fabric, a busy-wait variant has no sync
+// unit to configure, and a timeout is at most MaxTimeoutCycles.
 func (a Arch) Validate() error {
 	custom := a.Groups != [MaxSyncGroups]uint8{} || a.TimeoutCycles != 0
 	if custom && !a.Multi {
@@ -168,6 +168,9 @@ func (a Arch) Validate() error {
 	}
 	if custom && a.BusyWait {
 		return fmt.Errorf("power: busy-wait variant has no sync unit to configure")
+	}
+	if a.TimeoutCycles > MaxTimeoutCycles {
+		return fmt.Errorf("power: sync timeout of %d cycles exceeds the limit of %d cycles (2^40)", a.TimeoutCycles, uint64(MaxTimeoutCycles))
 	}
 	for g := 0; g < MaxSyncGroups; g++ {
 		if a.Groups[g] == 0 && a.Groups != [MaxSyncGroups]uint8{} && g < a.NumGroups() {

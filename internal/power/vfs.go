@@ -6,6 +6,12 @@ import "fmt"
 // can declare (hwsync-style units expose a small fixed set of group masks).
 const MaxSyncGroups = 4
 
+// MaxTimeoutCycles bounds a descriptor's TimeoutCycles. The sync unit arms a
+// deadline as the current cycle plus the timeout, which must not wrap;
+// 2^40 cycles is about 16 hours at the fastest multi-core VFS point, far
+// beyond any wait a recovery timeout is meant to catch.
+const MaxTimeoutCycles = 1 << 40
+
 // Arch is a sync-architecture descriptor: a declarative description of the
 // platform variant a run executes on. It replaces the former three-value
 // enum; the paper's variants are the named presets SC, MC and MCNoSync
@@ -31,7 +37,8 @@ type Arch struct {
 	Groups [MaxSyncGroups]uint8
 	// TimeoutCycles, when non-zero, arms a per-core timeout on every
 	// gated wait: a core still waiting after this many cycles receives a
-	// sync-timeout IRQ and is woken instead of hanging its group.
+	// sync-timeout IRQ and is woken instead of hanging its group. At most
+	// MaxTimeoutCycles.
 	TimeoutCycles uint64
 }
 

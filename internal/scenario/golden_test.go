@@ -13,8 +13,8 @@ import (
 
 // TestSessionSolvesMatchFromScratch is the acceptance matrix for the
 // session redesign: across every bundled scenario, every application the
-// scenario exercises, and all three architecture variants, the fork-based
-// session solve must produce bit-identical operating points (or identical
+// scenario exercises, and all three architecture variants, the session
+// solve must produce bit-identical operating points (or identical
 // errors) to the from-scratch reference. One session is shared across the
 // whole matrix, so cross-scenario cache keying is exercised too: a record or
 // probe cached for one scenario must never leak into another's solve.

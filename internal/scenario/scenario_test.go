@@ -129,6 +129,7 @@ func TestParseValidation(t *testing.T) {
 		"zero duration":  `{"name": "x", "signal": {"kind": "ecg"}, "duration_s": 0}`,
 		"repeated app":   `{"name": "x", "signal": {"kind": "ecg"}, "apps": ["3l-mf", "3l-mmd", "3l-mf"]}`,
 		"repeated arch":  `{"name": "x", "signal": {"kind": "ecg"}, "archs": ["mc", "sc", "multi"]}`,
+		"huge timeout":   `{"name": "x", "signal": {"kind": "ecg"}, "sync": [{"name": "huge-timeout", "timeout_cycles": 18446744073709551615}]}`,
 	}
 	for label, doc := range cases {
 		if _, err := Parse(strings.NewReader(doc)); err == nil {

@@ -1,15 +1,12 @@
 // Package serve is the operating-point solving service: the long-running
 // form of the one-shot CLI invocations, exposing solve, measure and sweep
-// over HTTP/JSON on a shared exp.Session. Three layers turn the expensive
+// over HTTP/JSON on a shared exp.Session. Two layers turn the expensive
 // compute kernel into something a fleet of clients can hit concurrently:
 //
 //   - a content-addressed result store (internal/serve/store) persisting
 //     solved points, demand estimates and measurement outcomes across
 //     restarts, so a restarted server answers every measured cell without
 //     simulating;
-//   - a bounded LRU of pristine platform templates (the session's template
-//     memo, an internal/memo Table under a cap), keeping memory flat under
-//     workload diversity while amortizing image builds;
 //   - single-flight request coalescing (an internal/memo Group): N
 //     identical concurrent requests share one simulation and receive
 //     byte-identical bodies.
@@ -57,8 +54,10 @@ type Config struct {
 	// persistence: the session still memoizes in memory, but nothing
 	// survives the process.
 	StoreDir string
-	// TemplateCap bounds the session's pristine-template LRU; 0 keeps it
-	// unbounded.
+	// TemplateCap is ignored: the session keeps no platform templates.
+	//
+	// Deprecated: the template cache is gone. The field stays only until
+	// perfbench stops setting it.
 	TemplateCap int
 	// Jobs bounds each sweep request's worker pool; values < 1 select 1.
 	// Solve and measure requests are one simulation each; their
@@ -115,7 +114,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		reg:       reg,
 		sink:      sink,
 	}
-	e.session.SetTemplateCap(cfg.TemplateCap)
 	if cfg.StoreDir != "" {
 		st, err := store.Open(cfg.StoreDir)
 		if err != nil {
@@ -414,9 +412,8 @@ func (e *Engine) Sweep(req wire.SweepRequest) (body []byte, shared bool, err err
 }
 
 // PublishMetrics refreshes the registry with every gauge the engine can
-// report: session work counters, signal- and template-cache hit rates,
-// store traffic and coalescing stats. Idempotent; the metrics endpoint
-// calls it per scrape.
+// report: session work counters, signal-cache hit rates, store traffic and
+// coalescing stats. Idempotent; the metrics endpoint calls it per scrape.
 func (e *Engine) PublishMetrics() *obs.Registry {
 	e.session.PublishMetrics(e.reg)
 	if e.store != nil {

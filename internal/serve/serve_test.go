@@ -219,7 +219,7 @@ func TestSolveCoalescesConcurrentRequests(t *testing.T) {
 // TestRestartServesFromStore is the persistence acceptance test: a new
 // process (fresh engine) over the same store directory answers a
 // previously-measured request without simulating anything — the solve and
-// the measurement both come from the store, no platform is forked, and the
+// the measurement both come from the store, no platform is built, and the
 // timeline shows no probe, verify or measure phase.
 func TestRestartServesFromStore(t *testing.T) {
 	dir := t.TempDir()

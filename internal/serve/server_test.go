@@ -150,6 +150,38 @@ func TestHandlerBoundsSweepGrid(t *testing.T) {
 	}
 }
 
+// TestHandlerRejectsHugeTimeout: a sync-unit timeout above
+// power.MaxTimeoutCycles gets a 400 naming the limit, from /v1/solve and
+// /v1/sweep alike, and the server keeps answering. Such a timeout used to
+// wrap the sync unit's deadline and panic mid-simulation; on /v1/sweep the
+// panic hit a sweep worker goroutine and ended the whole process.
+func TestHandlerRejectsHugeTimeout(t *testing.T) {
+	srv := newTestServer(t)
+	const arch = "multi,timeout=18446744073709551615"
+	cases := []struct{ path, body string }{
+		{"/v1/solve", `{"app":"3l-mf","arch":"` + arch + `","duration_s":0.4,"probe_s":0.3}`},
+		{"/v1/sweep", `{"apps":["3l-mf"],"archs":["` + arch + `"],"duration_s":0.4,"probe_s":0.3}`},
+	}
+	for _, tc := range cases {
+		resp, body := post(t, srv, tc.path, tc.body)
+		if resp.StatusCode != http.StatusBadRequest || len(body) >= 1024 {
+			t.Errorf("%s: status %d with a %d-byte body, want 400 under 1 KiB (%s)", tc.path, resp.StatusCode, len(body), body)
+			continue
+		}
+		if want := "exceeds the limit of 1099511627776 cycles"; !strings.Contains(string(body), want) {
+			t.Errorf("%s: body %s lacks %q", tc.path, body, want)
+		}
+	}
+	resp, err := http.Get(srv.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the rejected requests: status %d, want 200", resp.StatusCode)
+	}
+}
+
 func TestHealthzListsScenarios(t *testing.T) {
 	srv := newTestServer(t)
 	resp, err := http.Get(srv.URL + "/v1/healthz")
