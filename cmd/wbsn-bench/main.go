@@ -14,6 +14,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -182,6 +183,15 @@ func main() {
 	if *timelineCap < 1 {
 		fmt.Fprintf(os.Stderr, "-timeline-cap must be positive, got %d (the timeline is a ring of that many events; omit -timeline-out to disable it)\n", *timelineCap)
 		os.Exit(1)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"duration", *duration}, {"probe", *probe}} {
+		if !(f.v > 0 && f.v <= math.MaxFloat64) {
+			fmt.Fprintf(os.Stderr, "-%s must be a finite, positive number of seconds, got %v\n", f.name, f.v)
+			os.Exit(1)
+		}
 	}
 
 	if *cpuprofile != "" {

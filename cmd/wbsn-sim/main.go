@@ -18,6 +18,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -189,6 +190,12 @@ func main() {
 		if !set["probe"] {
 			*probe = scn.ProbeS
 		}
+	}
+	if !(*duration >= 0 && *duration <= math.MaxFloat64) {
+		fatal(fmt.Errorf("-duration must be a finite, non-negative number of seconds, got %v", *duration))
+	}
+	if *record != 0 && !(*record > 0 && *record <= math.MaxFloat64) {
+		fatal(fmt.Errorf("-record must be 0 (-duration+2) or a finite, positive number of seconds, got %v", *record))
 	}
 
 	// The metrics registry always exists — it is the uniform stderr stats

@@ -49,6 +49,7 @@ package exp
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/apps"
 	"repro/internal/obs"
@@ -104,6 +105,19 @@ type Options struct {
 // (the cmd tool exposes the paper's full 60 s).
 func DefaultOptions() Options {
 	return Options{Duration: 10, ProbeDuration: 2.5, PathoFrac: 0.2, Seed: 1}
+}
+
+// checkDurations rejects a measured or probe duration that is not a
+// finite, positive number of seconds. A negative one would otherwise wrap
+// into an endless cycle budget, and a zero one measures nothing.
+func (o Options) checkDurations() error {
+	if !(o.Duration > 0 && o.Duration <= math.MaxFloat64) {
+		return fmt.Errorf("exp: Duration %v s must be finite and positive", o.Duration)
+	}
+	if !(o.ProbeDuration > 0 && o.ProbeDuration <= math.MaxFloat64) {
+		return fmt.Errorf("exp: ProbeDuration %v s must be finite and positive", o.ProbeDuration)
+	}
+	return nil
 }
 
 // synthesize builds the record directly or through the shared cache.

@@ -346,6 +346,9 @@ func solveKeyString(app string, arch power.Arch, sig, probe sourceKey, opts Opti
 // hence the solved point — is unchanged), and the verified probe run is
 // snapshotted at its boundary so a following Measure continues it.
 func (s *Session) SolveOperatingPoint(ctx context.Context, app string, arch power.Arch, sig *signal.Source, opts Options) (OperatingPoint, error) {
+	if err := opts.checkDurations(); err != nil {
+		return OperatingPoint{}, err
+	}
 	opts = s.withCache(opts)
 	probeSig, err := opts.probeRecord(app)
 	if err != nil {
@@ -584,6 +587,9 @@ func measureKeyString(app string, arch power.Arch, sig sourceKey, op OperatingPo
 // measurement continues it — bit-identical to a from-scratch run
 // (continuation equivalence is pinned by internal/platform's golden tests).
 func (s *Session) Measure(ctx context.Context, app string, arch power.Arch, op OperatingPoint, sig *signal.Source, opts Options) (*Measurement, error) {
+	if err := opts.checkDurations(); err != nil {
+		return nil, err
+	}
 	v, err := s.variant(app, arch)
 	if err != nil {
 		return nil, err

@@ -3,12 +3,14 @@ package exp
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/obs"
 	"repro/internal/power"
 )
 
@@ -362,5 +364,43 @@ func TestSessionStoreRoundTrip(t *testing.T) {
 	}
 	if st := s3.Stats(); st.StoreHits != 0 || st.ProbeRuns == 0 {
 		t.Errorf("entries of another results version were read: %+v", st)
+	}
+}
+
+// TestSessionRejectsBadDurations: a measured or probe duration that is not
+// finite and positive is rejected by both entry points, naming the field,
+// before any record is synthesized or platform built. A negative one used
+// to wrap into an endless cycle budget.
+func TestSessionRejectsBadDurations(t *testing.T) {
+	ctx := context.Background()
+	sig, err := tinyOpts().Record(apps.MF3L)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := OperatingPoint{FreqHz: 2e6, VoltageV: 0.6}
+	for _, bad := range []float64{-1, math.NaN(), 0, math.Inf(1)} {
+		for _, field := range []string{"Duration", "ProbeDuration"} {
+			opts := tinyOpts()
+			if field == "Duration" {
+				opts.Duration = bad
+			} else {
+				opts.ProbeDuration = bad
+			}
+			s := NewSession(nil)
+			if _, err := s.SolveOperatingPoint(ctx, apps.MF3L, power.MC, sig, opts); err == nil || !strings.Contains(err.Error(), field+" ") {
+				t.Errorf("%s %v: solve error %v, want one naming %s", field, bad, err, field)
+			}
+			if _, err := s.Measure(ctx, apps.MF3L, power.MC, op, sig, opts); err == nil || !strings.Contains(err.Error(), field+" ") {
+				t.Errorf("%s %v: measure error %v, want one naming %s", field, bad, err, field)
+			}
+			reg := obs.NewRegistry()
+			s.PublishMetrics(reg)
+			if n := reg.Counter("signal.cache.requests"); n != 0 {
+				t.Errorf("%s %v: %d signal cache requests, want 0", field, bad, n)
+			}
+			if st := s.Stats(); st.Forks != 0 || st.ProbeRuns != 0 {
+				t.Errorf("%s %v: session simulated (%+v)", field, bad, st)
+			}
+		}
 	}
 }

@@ -72,6 +72,27 @@
 // With the idle fast-forward leaping the quiescent cycles, the four engines
 // compose: idle FF / spin FF / single-core blocks / multi-core strides.
 //
+// A stride also parks the pollers it carries (park.go). A yielded
+// participant whose loop holds no store and no stop instruction is recorded
+// for one period from a visit to its loop head; when the head state recurs
+// with every loaded word unchanged, the poller leaves the per-cycle plan and
+// the lanes plan only the participants left, so one working core beside
+// parked pollers runs on the lock-step lane. Parking is exact because a
+// core's next state depends only on its own state, its grants and the words
+// it loads: a requester alone on its banks is granted at every
+// rotating-priority phase (the argument behind interco.PlanConflictFree), no
+// store has reached its read set and its head state recurred, so every later
+// period repeats the recorded one. The stride materializes the poller — its
+// recorded state at its position, its activity in bulk — before any of that
+// can change: before planning a cycle in which another participant's request
+// lands on one of its banks while it uses that bank, after a cycle whose
+// committed store hits a word it loads, and when the stride ends. A parked
+// poller therefore never shares a bank with an active request in a cycle it
+// uses it, so the active participants' arbitration and the stride's exit
+// cycle are those of the unparked stride. Lock-step pollers that fetch one
+// PC and load the same words park as one requester, counted as Arbitrate
+// merges them.
+//
 // Like the fast-forward engines, everything here is simulation-process
 // state: Restore resets it (snapshot.go) and leap/engagement
 // placement may differ across Run chunkings while every architectural
@@ -82,6 +103,8 @@
 package platform
 
 import (
+	"math/bits"
+
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/interco"
@@ -134,14 +157,25 @@ type blockEngine struct {
 
 	// Reusable scratch for the multi-core planner (no per-cycle allocs).
 	active []int             // participating core ids this stride
+	live   []int             // the participants that are not parked
 	dm     []interco.Request // one cycle's data requests
 	im     []interco.Request // one cycle's fetch requests
 
+	// Parked pollers (park.go): per-core recordings, allocated by the first
+	// stride that watches a yielded participant, and the requesters parked
+	// in the current stride.
+	rec            []parkRec
+	leads, parked  uint8  // parked requesters' lead cores; every parked core
+	imPark, dmPark uint32 // banks the parked requesters use
+
 	// Wall-clock diagnostics (process state, not snapshotted).
-	runs     uint64 // single-core engagements that executed ≥ 1 cycle
-	cycles   uint64 // cycles executed on the single-core fast path
-	mcRuns   uint64 // multi-core strides that executed ≥ 1 cycle
-	mcCycles uint64 // cycles executed on the multi-core stride path
+	runs      uint64 // single-core engagements that executed ≥ 1 cycle
+	cycles    uint64 // cycles executed on the single-core fast path
+	mcRuns    uint64 // multi-core strides that executed ≥ 1 cycle
+	mcCycles  uint64 // cycles executed on the multi-core stride path
+	mcAligned uint64 // stride cycles run on the lock-step lane
+	mcParks   uint64 // requesters parked
+	mcParked  uint64 // core-cycles spent parked
 }
 
 // blockInit sizes the engine's per-core state for ncore cores; called once
@@ -149,6 +183,7 @@ type blockEngine struct {
 func (b *blockEngine) blockInit(ncore int) {
 	b.yield = make([]spinYield, ncore)
 	b.active = make([]int, 0, ncore)
+	b.live = make([]int, 0, ncore)
 	b.dm = make([]interco.Request, 0, ncore)
 	b.im = make([]interco.Request, 0, ncore)
 }
@@ -177,18 +212,28 @@ func (p *Platform) BlockMCStrides() uint64 { return p.block.mcRuns }
 // engine.block_stride_cycles.cN histograms for the split).
 func (p *Platform) BlockMCCycles() uint64 { return p.block.mcCycles }
 
-// blockReset clears the engine's sticky yields, loop verdicts and
-// diagnostics: Restore. The block tables themselves derive from the
-// immutable image and survive.
+// BlockMCParkedCycles returns how many participant core-cycles of
+// multi-core strides were spent parked (park.go) instead of being planned
+// cycle by cycle. A wall-clock diagnostic like BlockMCCycles; Restore
+// resets it.
+func (p *Platform) BlockMCParkedCycles() uint64 { return p.block.mcParked }
+
+// blockReset clears the engine's sticky yields, loop verdicts, poll-loop
+// recordings and diagnostics: Restore. The block tables themselves derive
+// from the immutable image and survive.
 func (p *Platform) blockReset() {
 	for c := range p.block.yield {
 		p.block.yield[c] = spinYield{}
 	}
 	clear(p.block.unleapable)
+	p.block.parkReset()
 	p.block.runs = 0
 	p.block.cycles = 0
 	p.block.mcRuns = 0
 	p.block.mcCycles = 0
+	p.block.mcAligned = 0
+	p.block.mcParks = 0
+	p.block.mcParked = 0
 }
 
 // blockStrideCoresName[n-1] names the stride-length histogram for strides
@@ -386,7 +431,6 @@ const (
 	mcMem                  // executes once its data request (be.dm) is granted
 	mcBubble               // burns a pipeline-refill bubble
 	mcIMStall              // lost fetch arbitration
-	mcBlock                // Step's turn if its fetch is granted
 )
 
 // blockRunMulti is the N ≥ 2 running-core stride path: per-core block runs
@@ -402,7 +446,7 @@ func (p *Platform) blockRunMulti(limit uint64, gated, halted uint64) {
 	// the lock-step common case between sync points — skip data-access
 	// planning entirely until a branch lands in a run that needs it. A held
 	// fetch sits on a load or store, so it sets memPlan too.
-	act := be.active[:0]
+	all := be.active[:0]
 	memPlan := false
 	nyield := 0
 	for c := 0; c < p.ncore; c++ {
@@ -418,17 +462,17 @@ func (p *Platform) blockRunMulti(limit uint64, gated, halted uint64) {
 		if be.yield[c].on {
 			nyield++
 		}
-		act = append(act, c)
+		all = append(all, c)
 	}
-	be.active = act
+	be.active = all
 
 	end := p.blockEnd(limit)
 	if end <= p.cycle {
 		return
 	}
 
-	// Per-cycle scratch, indexed by participant position in act; imWho and
-	// dmWho map a request back to its participant.
+	// Per-cycle scratch, indexed by position in act, the participants not
+	// parked; imWho and dmWho map a request back to its participant.
 	var (
 		pins         [isa.MaxCores]isa.Instr
 		mcls         [isa.MaxCores]mem.InstrClass
@@ -436,31 +480,58 @@ func (p *Platform) blockRunMulti(limit uint64, gated, halted uint64) {
 		imWho, dmWho [isa.MaxCores]int
 		crs          [isa.MaxCores]*cpu.Core
 	)
-	nact := len(act)
-	for i, c := range act {
-		crs[i] = p.cores[c]
-	}
+	nall := len(all)
+	act := p.strideLive(all, be.live, &crs)
+	be.parkBegin(all)
 	start := p.cycle
 	cyc := start
-	var instrs, stalls, taken, imReqs, imAccesses, imConflict uint64
-	var dmReqs, dmReads, dmWrites, dmConflict uint64
+	// sd accumulates the stride's activity for one AddStride flush.
+	var sd power.StrideDelta
+	var aligned uint64
+	// pend holds the parked requesters (by lead core) to materialize at the
+	// start of cycle cyc; watched is the last cycle parkWatch saw.
+	var pend uint8
+	watched := cyc - 1
 
 stride:
-	for cyc < end && nyield < nact {
+	for cyc < end && nyield < nall {
+		if pend != 0 {
+			if p.unpark(pend, cyc, &sd) {
+				memPlan = true
+			}
+			pend = 0
+			act = p.strideLive(all, act, &crs)
+		}
+		// A yielded participant that is not parked may be recording its
+		// loop. Parked participants are yielded, so a stride always keeps
+		// a working one.
+		if nyield > bits.OnesCount8(be.parked) && cyc != watched {
+			watched = cyc
+			if p.parkWatch(cyc, act) {
+				act = p.strideLive(all, act, &crs)
+			}
+		}
+		nact := len(act)
+
 		// ---- Lock-step fast lane: every participant aligned at the same PC
 		// with no pipeline bubble and no held fetch — the paper's MC steady
 		// state. One shared classify and one broadcast-merged fetch serve all
 		// cores; only the data addresses (register-dependent) are planned per
 		// core, and a conflict-free set is granted at every phase.
 		pc0 := crs[0].PC
-		aligned := crs[0].Bubble == 0 && !crs[0].Fetched
-		for k := 1; k < nact && aligned; k++ {
-			aligned = crs[k].PC == pc0 && crs[k].Bubble == 0 && !crs[k].Fetched
+		lockstep := crs[0].Bubble == 0 && !crs[0].Fetched
+		for k := 1; k < nact && lockstep; k++ {
+			lockstep = crs[k].PC == pc0 && crs[k].Bubble == 0 && !crs[k].Fetched
 		}
-		if aligned {
+		if lockstep {
 			cls := be.set.Class(pc0)
 			if cls == mem.ClassStop {
 				break stride // sync ISE / HALT / invalid ahead: Step's turn
+			}
+			if bank := isa.IMBankOf(pc0); be.imPark&(1<<bank) != 0 {
+				if pend = be.parkHit(cyc, bank, true); pend != 0 {
+					continue // a parked requester fetches from this bank now
+				}
 			}
 			ins, ok := p.imem.Fetch(pc0)
 			if !ok {
@@ -477,7 +548,13 @@ stride:
 					if _, ok := p.dmem.Read(b, o); !ok {
 						break stride // powered-off bank: Step will fault
 					}
+					if be.dmPark&(1<<b) != 0 {
+						pend |= be.parkHit(cyc, b, false)
+					}
 					dm = planReq(dm, c, b, o, cls == mem.ClassStore)
+				}
+				if pend != 0 {
+					continue // a parked requester loads from one of these banks now
 				}
 				dmAcc, ok = interco.PlanConflictFree(dm)
 				if cls == mem.ClassStore {
@@ -493,11 +570,14 @@ stride:
 						loadVal, _ = p.dmem.Read(dm[i].Bank, dm[i].Offset)
 					case mem.ClassStore:
 						p.dmem.Write(dm[i].Bank, dm[i].Offset, cr.Regs[ins.Rs2])
+						if be.dmPark&(1<<dm[i].Bank) != 0 {
+							pend |= be.parkStoreHit(dm[i].Bank, dm[i].Offset)
+						}
 					}
 					cr.IR = ins
 					tk := cr.ExecuteBlock(ins, loadVal)
 					if tk {
-						taken++
+						sd.BranchBubbles++
 					}
 					if cls == mem.ClassControl {
 						nyield += p.blockRespan(act[i], pc0, tk)
@@ -509,12 +589,13 @@ stride:
 						}
 					}
 				}
-				instrs += uint64(nact)
-				imReqs += uint64(nact)
-				imAccesses++
-				dmReqs += uint64(len(dm))
-				dmReads += uint64(dmAcc - nw)
-				dmWrites += uint64(nw)
+				sd.Instrs += uint64(nact)
+				sd.IMReqs += uint64(nact)
+				sd.IMAccesses++
+				sd.DMReqs += uint64(len(dm))
+				sd.DMReads += uint64(dmAcc - nw)
+				sd.DMWrites += uint64(nw)
+				aligned++
 				cyc++
 				p.imx.Advance()
 				p.dmx.Advance()
@@ -530,54 +611,33 @@ stride:
 		// exactly Step's phase-3 addresses. A fetch the engine cannot
 		// execute — a stop instruction, a fault, MMIO, a powered-off data
 		// bank — ends the stride only if arbitration grants it.
-		im, dm := be.im[:0], be.dm[:0]
-		lockstep := true
+		im := be.im[:0]
+		lockstep = true
 		firstPC := -1
-		nblock := 0
 		for i, c := range act {
 			cr := crs[i]
-			if cr.Bubble > 0 {
+			switch {
+			case cr.Bubble > 0:
 				st[i] = mcBubble
-				continue
-			}
-			cls := be.set.Class(cr.PC)
-			ins := cr.IR // held from a DM stall: re-requested without a fetch
-			st[i] = mcBlock
-			if !cr.Fetched {
+			case cr.Fetched:
+				st[i] = mcExec // held from a DM stall: re-requested without a fetch
+			default:
+				st[i] = mcExec
 				if firstPC < 0 {
 					firstPC = cr.PC
 				} else if cr.PC != firstPC {
 					lockstep = false
 				}
-				imWho[len(im)] = i
-				im = planReq(im, c, isa.IMBankOf(cr.PC), cr.PC, false)
-				var ok bool
-				if ins, ok = p.imem.Fetch(cr.PC); !ok || cls == mem.ClassStop {
-					nblock++
-					continue
+				b := isa.IMBankOf(cr.PC)
+				if be.imPark&(1<<b) != 0 {
+					pend |= be.parkHit(cyc, b, true)
 				}
+				imWho[len(im)] = i
+				im = planReq(im, c, b, cr.PC, false)
 			}
-			pins[i], mcls[i] = ins, cls
-			// Invariant: while !memPlan no run in flight contains a load or
-			// store (entry check + the refresh after every control transfer
-			// below), so no address needs computing.
-			if !memPlan || cls != mem.ClassLoad && cls != mem.ClassStore {
-				st[i] = mcExec
-				continue
-			}
-			addr := cr.Regs[ins.Rs1] + uint16(ins.Imm)
-			if isa.IsMMIO(addr) {
-				nblock++
-				continue
-			}
-			b, o := p.mapper.Map(c, addr)
-			if _, ok := p.dmem.Read(b, o); !ok {
-				nblock++
-				continue
-			}
-			dmWho[len(dm)] = i
-			dm = planReq(dm, c, b, o, cls == mem.ClassStore)
-			st[i] = mcMem
+		}
+		if pend != 0 {
+			continue // a parked requester fetches from one of these banks now
 		}
 
 		// Fetch arbitration. Lock-step fetchers share one PC and ride a
@@ -588,30 +648,57 @@ stride:
 			imAcc = 1
 			if !lockstep {
 				res := p.imx.Arbitrate(im)
-				imAcc, imStall = res.Accesses, res.Stalled
+				if imAcc, imStall = res.Accesses, res.Stalled; imStall > 0 {
+					for j := range im {
+						if !im[j].Granted {
+							st[imWho[j]] = mcIMStall
+						}
+					}
+				}
 			}
 		}
-		if imStall > 0 {
-			for j := range im {
-				if !im[j].Granted {
-					st[imWho[j]] = mcIMStall
+
+		// Data requests of the granted and held instructions. One the
+		// engine cannot execute ends the stride: Step executes this cycle
+		// exactly.
+		dm := be.dm[:0]
+		for i, c := range act {
+			if st[i] != mcExec {
+				continue
+			}
+			cr := crs[i]
+			cls := be.set.Class(cr.PC)
+			ins := cr.IR
+			if !cr.Fetched {
+				var ok bool
+				if ins, ok = p.imem.Fetch(cr.PC); !ok || cls == mem.ClassStop {
+					break stride
 				}
 			}
-			n := 0
-			for k := range dm {
-				if st[dmWho[k]] == mcMem {
-					dm[n] = dm[k]
-					n++
-				}
+			pins[i], mcls[i] = ins, cls
+			// Invariant: while !memPlan no run in flight contains a load or
+			// store (entry check + the refresh after every control transfer
+			// below), so no address needs computing.
+			if !memPlan || cls != mem.ClassLoad && cls != mem.ClassStore {
+				continue
 			}
-			dm = dm[:n]
+			addr := cr.Regs[ins.Rs1] + uint16(ins.Imm)
+			if isa.IsMMIO(addr) {
+				break stride
+			}
+			b, o := p.mapper.Map(c, addr)
+			if _, ok := p.dmem.Read(b, o); !ok {
+				break stride
+			}
+			if be.dmPark&(1<<b) != 0 {
+				pend |= be.parkHit(cyc, b, false)
+			}
+			dmWho[len(dm)] = i
+			dm = planReq(dm, c, b, o, cls == mem.ClassStore)
+			st[i] = mcMem
 		}
-		if nblock > 0 {
-			for i := range act {
-				if st[i] == mcBlock {
-					break stride // Step executes this cycle exactly
-				}
-			}
+		if pend != 0 {
+			continue // a parked requester loads from one of these banks now
 		}
 
 		// Data arbitration. Every bank sees one winner plus the reads that
@@ -630,7 +717,7 @@ stride:
 			switch st[i] {
 			case mcBubble:
 				cr.Bubble--
-				stalls++
+				sd.StallCycles++
 				continue
 			case mcIMStall:
 				continue
@@ -645,11 +732,14 @@ stride:
 				}
 				if r.Write {
 					p.dmem.Write(r.Bank, r.Offset, cr.Regs[pins[i].Rs2])
-					dmWrites++
+					sd.DMWrites++
+					if be.dmPark&(1<<r.Bank) != 0 {
+						pend |= be.parkStoreHit(r.Bank, r.Offset)
+					}
 				} else {
 					loadVal, _ = p.dmem.Read(r.Bank, r.Offset)
 					if !r.Merged {
-						dmReads++
+						sd.DMReads++
 					}
 				}
 			}
@@ -657,7 +747,7 @@ stride:
 			cr.IR = pins[i]
 			tk := cr.ExecuteBlock(pins[i], loadVal)
 			if tk {
-				taken++
+				sd.BranchBubbles++
 			}
 			// Straight-line runs only ever end at a control transfer, so
 			// this is the one place a core can enter a new run or leave a
@@ -669,18 +759,23 @@ stride:
 					memPlan = true
 				}
 			}
-			instrs++
+			sd.Instrs++
 		}
-		stalls += uint64(imStall + dmStall)
-		imReqs += uint64(len(im))
-		imAccesses += uint64(imAcc)
-		imConflict += uint64(imStall)
-		dmReqs += uint64(len(dm))
-		dmConflict += uint64(dmStall)
+		sd.StallCycles += uint64(imStall + dmStall)
+		sd.IMReqs += uint64(len(im))
+		sd.IMAccesses += uint64(imAcc)
+		sd.IMConflict += uint64(imStall)
+		sd.DMReqs += uint64(len(dm))
+		sd.DMConflict += uint64(dmStall)
 		cyc++
 		p.imx.Advance()
 		p.dmx.Advance()
 	}
+	// Every exit materializes the parked requesters at the exit cycle.
+	if be.leads != 0 {
+		p.unpark(be.leads, cyc, &sd)
+	}
+	be.live = act
 	if cyc == start {
 		return // a stop instruction, MMIO or a fault straight ahead: Step's cycle
 	}
@@ -690,24 +785,13 @@ stride:
 	// stall) each cycle; fetch and data access counts come from the
 	// per-cycle arbitration, and the crossbars advanced cycle by cycle.
 	n := cyc - start
-	p.ctr.AddStride(power.StrideDelta{
-		Cycles:        n,
-		Instrs:        instrs,
-		ActiveCycles:  instrs,
-		StallCycles:   stalls,
-		BranchBubbles: taken,
-		UngatedCycles: n * uint64(nact),
-		GatedCycles:   n * gated,
-		HaltedCycles:  n * halted,
-		IMReqs:        imReqs,
-		IMAccesses:    imAccesses,
-		IMConflict:    imConflict,
-		DMReqs:        dmReqs,
-		DMReads:       dmReads,
-		DMWrites:      dmWrites,
-		DMConflict:    dmConflict,
-	})
-	for _, c := range act {
+	sd.Cycles = n
+	sd.ActiveCycles = sd.Instrs
+	sd.UngatedCycles = n * uint64(nall)
+	sd.GatedCycles = n * gated
+	sd.HaltedCycles = n * halted
+	p.ctr.AddStride(sd)
+	for _, c := range all {
 		p.perCoreBusy[c] += n
 		p.windowBusy[c] += uint32(n)
 		// A carried yielded core's head visits went unobserved: its
@@ -723,10 +807,11 @@ stride:
 	p.lastCycleIdle = false
 	be.mcRuns++
 	be.mcCycles += n
+	be.mcAligned += aligned
 	// One span per stride, tagged with the participating core count.
-	p.obs.Span(obs.KindBlockStride, obs.TrackEngine, 0, start, n, int64(instrs), int64(nact))
+	p.obs.Span(obs.KindBlockStride, obs.TrackEngine, 0, start, n, int64(sd.Instrs), int64(nall))
 	p.obs.Observe("engine.block_stride_cycles", n)
-	p.obs.Observe(blockStrideCoresName[nact-1], n)
+	p.obs.Observe(blockStrideCoresName[nall-1], n)
 }
 
 // planReq appends one request to a stride planner's scratch slice, whose

@@ -9,10 +9,13 @@
 // MMIO probes, forward and backward branches, counted loops shorter than
 // maxSpinPeriod (the spin yield hands them to the block engine
 // mid-loop), poll/produce pairs (core 0 sets a shared flag after random work
-// while the other cores poll it, so strides carry yielded pollers and
-// release them mid-stride), jumps, sync ISE forms, SLEEP and HALT — lays it
-// out across 1–4 cores in one of three placements (lock-step shared code,
-// same-IM-bank private copies, distinct-bank private copies), runs it
+// or a counted loop while the other cores poll it or a two-word read set,
+// so strides carry yielded pollers, park them and release them mid-stride,
+// sometimes after a store to another word of the flag's bank), jumps, sync
+// ISE forms, SLEEP and HALT — lays it out across 1–4 cores in one of three
+// placements, taken in turn (lock-step shared code, optionally with core 0
+// on a copy in another IM bank; same-IM-bank private copies; distinct-bank
+// private copies), runs it
 // through an exact platform and a fast one (optionally chunked across two
 // Run calls), and asserts that every observable — counters, registers, the
 // entire data memory and its write generation, the synchronizer state,
@@ -45,7 +48,9 @@ var (
 // fuzzProg generates one random program: a register prologue, a weighted
 // random body, and a tail that stores live registers and either halts or
 // loops back over the body forever (the budget bounds looping programs).
-func fuzzProg(rng *rand.Rand, nsync int) []isa.Word {
+// With poll set the body opens with a poll/produce template whose producer
+// runs a counted loop, so strides get pollers to park.
+func fuzzProg(rng *rand.Rand, nsync int, poll bool) []isa.Word {
 	aluR := []isa.Opcode{
 		isa.OpADD, isa.OpSUB, isa.OpAND, isa.OpOR, isa.OpXOR,
 		isa.OpSLL, isa.OpSRL, isa.OpSRA, isa.OpMUL, isa.OpMULH,
@@ -74,6 +79,9 @@ func fuzzProg(rng *rand.Rand, nsync int) []isa.Word {
 		enc(isa.OpADDI, 2, 0, 0, int32(rng.Intn(64))-32),
 	}
 	bodyStart := int32(len(w))
+	if poll {
+		w = append(w, fuzzPollProduce(rng, wr, aluR, true)...)
+	}
 
 	n := 10 + rng.Intn(25)
 	for i := 0; i < n; i++ {
@@ -81,23 +89,7 @@ func fuzzProg(rng *rand.Rand, nsync int) []isa.Word {
 		case k < 33: // R-type ALU
 			w = append(w, enc(aluR[rng.Intn(len(aluR))], wr(), wr(), wr(), 0))
 		case k < 35: // poll/produce: core 0 sets the flag after some work, the others poll it
-			r := wr()
-			nwork := 1 + rng.Intn(6)
-			w = append(w,
-				enc(isa.OpLUI, 13, 0, 0, 508),            // r13 = 0x7F00
-				enc(isa.OpLW, 13, 13, 0, 0),              // r13 = core id (RegCoreID)
-				enc(isa.OpBEQ, 0, 13, 0, 2),              // core 0 skips the poll loop
-				enc(isa.OpLW, r, 4, 0, fuzzFlag),         // poll: a two-instruction loop
-				enc(isa.OpBEQ, 0, r, 0, -2),              // ...while the flag is clear
-				enc(isa.OpBNE, 0, 13, 0, int32(nwork+2)), // pollers skip the producer
-			)
-			for j := 0; j < nwork; j++ {
-				w = append(w, enc(aluR[rng.Intn(len(aluR))], wr(), wr(), wr(), 0))
-			}
-			w = append(w,
-				enc(isa.OpADDI, 13, 0, 0, int32(1+rng.Intn(500))),
-				enc(isa.OpSW, 0, 4, 13, fuzzFlag), // release the pollers
-			)
+			w = append(w, fuzzPollProduce(rng, wr, aluR, rng.Intn(2) == 0)...)
 		case k < 38: // counted loop: r14 marches through a window up to r15
 			base := uint8(4)
 			if rng.Intn(2) == 0 {
@@ -185,21 +177,86 @@ func fuzzProg(rng *rand.Rand, nsync int) []isa.Word {
 	return w
 }
 
-// fuzzFlag is the shared-window offset (from r4) of the poll/produce
-// template's flag word, clear at reset. It lies above every other
-// template's accesses through r4 (offsets up to 53) and below the tail's
-// stores (60–62), so only a producer sets it.
-const fuzzFlag = 56
+// The poll/produce template's words, as shared-window offsets from r4.
+// fuzzFlag and fuzzFlag2, clear at reset, lie above every other template's
+// accesses through r4 (offsets up to 53) and below the tail's stores
+// (60–62), so only a producer sets them. fuzzMiss shares fuzzFlag's DM bank
+// under the ATU's word interleaving and nothing polls it.
+const (
+	fuzzFlag  = 56
+	fuzzFlag2 = 57
+	fuzzMiss  = fuzzFlag + 16
+)
+
+// fuzzPollProduce generates one poll/produce template: core 0 skips the
+// poll loop and produces, every other core polls and skips the producer.
+// The poll loop waits on the flag word or, in a two-word read set, on the
+// flag and a second word; the producer releases it by setting the word
+// polled last. Before that it does a little work or, if counted, a counted
+// loop of 50–400 iterations, long enough for strides to park the pollers,
+// and may store to another word of the flag's DM bank, a bank collision
+// that misses the pollers' read set.
+func fuzzPollProduce(rng *rand.Rand, wr func() uint8, aluR []isa.Opcode, counted bool) []isa.Word {
+	r := wr()
+	poll := []isa.Word{
+		enc(isa.OpLW, r, 4, 0, fuzzFlag), // poll: a two-instruction loop
+		enc(isa.OpBEQ, 0, r, 0, -2),      // ...while the flag is clear
+	}
+	release := int32(fuzzFlag)
+	if rng.Intn(2) == 0 {
+		r2 := wr()
+		poll = []isa.Word{
+			enc(isa.OpLW, r, 4, 0, fuzzFlag),
+			enc(isa.OpLW, r2, 4, 0, fuzzFlag2),
+			enc(isa.OpOR, r, r, r2, 0),
+			enc(isa.OpBEQ, 0, r, 0, -4), // ...while both words are clear
+		}
+		release = fuzzFlag2
+	}
+	var produce []isa.Word
+	work := func() {
+		for j, nwork := 0, 1+rng.Intn(6); j < nwork; j++ {
+			produce = append(produce, enc(aluR[rng.Intn(len(aluR))], wr(), wr(), wr(), 0))
+		}
+	}
+	if counted {
+		produce = append(produce, enc(isa.OpADDI, 13, 0, 0, int32(50+rng.Intn(351))))
+		head := len(produce)
+		work()
+		produce = append(produce, enc(isa.OpADDI, 13, 13, 0, -1))
+		produce = append(produce, enc(isa.OpBNE, 0, 13, 0, int32(head-len(produce)-1)))
+	} else {
+		work()
+	}
+	if rng.Intn(2) == 0 {
+		produce = append(produce, enc(isa.OpSW, 0, 4, wr(), fuzzMiss))
+	}
+	produce = append(produce,
+		enc(isa.OpADDI, 13, 0, 0, int32(1+rng.Intn(500))),
+		enc(isa.OpSW, 0, 4, 13, release), // release the pollers
+	)
+
+	w := []isa.Word{
+		enc(isa.OpLUI, 13, 0, 0, 508),              // r13 = 0x7F00
+		enc(isa.OpLW, 13, 13, 0, 0),                // r13 = core id (RegCoreID)
+		enc(isa.OpBEQ, 0, 13, 0, int32(len(poll))), // core 0 skips the poll loop
+	}
+	w = append(w, poll...)
+	w = append(w, enc(isa.OpBNE, 0, 13, 0, int32(len(produce)))) // pollers skip the producer
+	return append(w, produce...)
+}
 
 // fuzzImage lays out per-core programs in one of three placements and backs
 // them with a shared data window, a private-window power domain and a
-// sync-point mirror.
-func fuzzImage(rng *rand.Rand, ncore, layout, nsync int) *Image {
+// sync-point mirror. With poll set, the lock-step and distinct-bank
+// placements' programs open with a poll/produce template whose producer
+// runs a counted loop (see fuzzProg).
+func fuzzImage(rng *rand.Rand, ncore, layout, nsync int, poll bool) *Image {
 	data := make([]uint16, 64)
 	for i := range data {
 		data[i] = uint16(rng.Intn(1 << 16))
 	}
-	data[fuzzFlag] = 0
+	data[fuzzFlag], data[fuzzFlag2] = 0, 0
 	img := &Image{
 		SharedLimit:   1024,
 		NumSyncPoints: nsync,
@@ -209,22 +266,30 @@ func fuzzImage(rng *rand.Rand, ncore, layout, nsync int) *Image {
 		},
 	}
 	switch layout {
-	case 0: // lock-step: every core enters the same shared code
-		words := fuzzProg(rng, nsync)
+	case 0: // lock-step: every core enters the same shared code...
+		split := ncore > 1 && poll
+		words := fuzzProg(rng, nsync, split)
 		img.Code = []CodeSeg{{Base: 0, Words: words}}
 		for c := 0; c < ncore; c++ {
 			img.Entries = append(img.Entries, 0)
 		}
+		// ...or core 0, the poll/produce template's producer, enters an
+		// identical copy in another IM bank, so the others' lock-step poll
+		// loops are alone in theirs while it works.
+		if split {
+			img.Code = append(img.Code, CodeSeg{Base: isa.IMBankWords, Words: words})
+			img.Entries[0] = isa.IMBankWords
+		}
 	case 1: // private copies packed into one IM bank: fetch conflicts
 		for c := 0; c < ncore; c++ {
 			base := c * 96
-			img.Code = append(img.Code, CodeSeg{Base: base, Words: fuzzProg(rng, nsync)})
+			img.Code = append(img.Code, CodeSeg{Base: base, Words: fuzzProg(rng, nsync, false)})
 			img.Entries = append(img.Entries, base)
 		}
 	default: // private copies in distinct IM banks: divergent-PC strides
 		for c := 0; c < ncore; c++ {
 			base := c * isa.IMBankWords
-			img.Code = append(img.Code, CodeSeg{Base: base, Words: fuzzProg(rng, nsync)})
+			img.Code = append(img.Code, CodeSeg{Base: base, Words: fuzzProg(rng, nsync, poll)})
 			img.Entries = append(img.Entries, base)
 		}
 	}
@@ -301,18 +366,23 @@ func TestDiffFuzz(t *testing.T) {
 		ncore := ncore
 		t.Run(fmt.Sprintf("c%d", ncore), func(t *testing.T) {
 			// sameBank* sum the stride cycles and the cycles no leap covered
-			// over the same-IM-bank placement's cases.
+			// over the same-IM-bank placement's cases; parked* the parked
+			// core-cycles of the lock-step and distinct-bank placements.
 			var blockCycles, mcCycles, sameBankStride, sameBankBusy uint64
+			var parkedLockstep, parkedDistinct uint64
 			for ci := 0; ci < *fuzzCases; ci++ {
 				ci := ci
 				t.Run(fmt.Sprintf("case%03d", ci), func(t *testing.T) {
 					rng := rand.New(rand.NewSource(*fuzzSeed<<24 ^ int64(ncore)<<16 ^ int64(ci)))
-					layout := rng.Intn(3)
+					// Placements take turns, and every other case of a
+					// placement opens with a poll/produce template, so each
+					// placement's engagement checks below have their cases.
+					layout, poll := ci%3, ci/3%2 == 1
 					if ncore == 1 {
 						layout = 0
 					}
 					const nsync = 4
-					img := fuzzImage(rng, ncore, layout, nsync)
+					img := fuzzImage(rng, ncore, layout, nsync, poll)
 
 					cfg := mcCfg()
 					if ncore == 1 && rng.Intn(2) == 0 {
@@ -332,9 +402,14 @@ func TestDiffFuzz(t *testing.T) {
 					assertFuzzIdentical(t, exact, fast, exactErr, fastErr)
 					blockCycles += fast.BlockCycles()
 					mcCycles += fast.BlockMCCycles()
-					if layout == 1 {
+					switch layout {
+					case 0:
+						parkedLockstep += fast.BlockMCParkedCycles()
+					case 1:
 						sameBankStride += fast.BlockMCCycles()
 						sameBankBusy += fast.Cycle() - fast.FFSkippedCycles() - fast.SpinSkippedCycles()
+					default:
+						parkedDistinct += fast.BlockMCParkedCycles()
 					}
 
 					if t.Failed() {
@@ -365,6 +440,11 @@ func TestDiffFuzz(t *testing.T) {
 				if ncore >= 2 && sameBankStride*10 < sameBankBusy {
 					t.Errorf("same-IM-bank cases ran %d of %d unleapt cycles on strides, want at least 10%%",
 						sameBankStride, sameBankBusy)
+				}
+				// Strides must park pollers, in lock-step groups and alone.
+				if ncore >= 2 && (parkedLockstep == 0 || parkedDistinct == 0) {
+					t.Errorf("parked core-cycles: %d in lock-step cases, %d in distinct-bank cases; want both above 0",
+						parkedLockstep, parkedDistinct)
 				}
 			}
 		})

@@ -31,6 +31,7 @@
 package platform
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/core"
@@ -79,8 +80,12 @@ func (p *Platform) Run(n uint64) error {
 }
 
 // RunSeconds simulates the given wall-clock duration at the configured
-// platform frequency.
+// platform frequency. A negative or non-finite duration is an error and
+// simulates nothing.
 func (p *Platform) RunSeconds(s float64) error {
+	if !(s >= 0 && s <= math.MaxFloat64) {
+		return fmt.Errorf("platform: simulated duration %v s must be finite and non-negative", s)
+	}
 	return p.Run(secondsToCycles(s, p.cfg.ClockHz))
 }
 

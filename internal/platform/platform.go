@@ -293,7 +293,18 @@ const (
 	stHalted
 )
 
-// New builds a platform from a configuration and a linked image.
+// MaxClockHz and MaxVoltageV bound the operating point New accepts, far
+// above the VFS table's 19 MHz and 1.2 V: beyond them cycle budgets and
+// power figures stop meaning anything (a 1e300 Hz clock overflows every
+// budget), so such a configuration is an input error, not a platform.
+const (
+	MaxClockHz  = 1e9
+	MaxVoltageV = 5.0
+)
+
+// New builds a platform from a configuration and a linked image. The clock
+// and the supply voltage must be positive, finite and at most MaxClockHz
+// and MaxVoltageV.
 func New(cfg Config, img *Image) (*Platform, error) {
 	n := len(img.Entries)
 	if n == 0 || n > isa.MaxCores {
@@ -310,8 +321,11 @@ func New(cfg Config, img *Image) (*Platform, error) {
 			return nil, fmt.Errorf("platform: sync group %d mask %#02x names cores outside the %d-core image", g, m, n)
 		}
 	}
-	if cfg.ClockHz <= 0 {
-		return nil, fmt.Errorf("platform: non-positive clock %v", cfg.ClockHz)
+	if !(cfg.ClockHz > 0 && cfg.ClockHz <= MaxClockHz) {
+		return nil, fmt.Errorf("platform: clock %v Hz must be positive and at most %g Hz", cfg.ClockHz, MaxClockHz)
+	}
+	if !(cfg.VoltageV > 0 && cfg.VoltageV <= MaxVoltageV) {
+		return nil, fmt.Errorf("platform: supply voltage %v V must be positive and at most %g V", cfg.VoltageV, MaxVoltageV)
 	}
 	if cfg.MaxDebug == 0 {
 		cfg.MaxDebug = 1 << 20
@@ -521,6 +535,9 @@ func (p *Platform) PublishMetrics(reg *obs.Registry) {
 	reg.Add("engine.block.cycles", p.block.cycles)
 	reg.Add("engine.block.mc_strides", p.block.mcRuns)
 	reg.Add("engine.block.mc_cycles", p.block.mcCycles)
+	reg.Add("engine.block.mc_aligned_cycles", p.block.mcAligned)
+	reg.Add("engine.block.mc_parks", p.block.mcParks)
+	reg.Add("engine.block.mc_parked_core_cycles", p.block.mcParked)
 	reg.Add("engine.step.cycles", p.stepped)
 	reg.Add("sim.cycles", p.cycle)
 	reg.Add("sim.max_sample_busy_cycles", p.maxSampleBusy)

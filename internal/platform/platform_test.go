@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -710,6 +711,64 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(scCfg(), &Image{}); err == nil {
 		t.Error("no entries must fail")
+	}
+}
+
+// TestConfigRejectsAbsurdOperatingPoints: New takes only a finite, positive
+// clock and supply voltage up to MaxClockHz and MaxVoltageV. A NaN clock
+// used to pass the old non-positive check and simulate 2^63 "cycles" with
+// NaN powers, and a negative voltage printed negative leakage.
+func TestConfigRejectsAbsurdOperatingPoints(t *testing.T) {
+	img := func() *Image {
+		return &Image{
+			Entries: []int{0},
+			Code:    []CodeSeg{{Base: 0, Words: []isa.Word{isa.MustEncode(isa.Instr{Op: isa.OpHALT})}}},
+		}
+	}
+	cases := []struct {
+		name           string
+		clock, voltage float64
+		want           string // error substring; empty when valid
+	}{
+		{"clock NaN", math.NaN(), 0.6, "clock"},
+		{"clock +Inf", math.Inf(1), 0.6, "clock"},
+		{"clock -Inf", math.Inf(-1), 0.6, "clock"},
+		{"clock 0", 0, 0.6, "clock"},
+		{"clock -1", -1, 0.6, "clock"},
+		{"clock 1e300", 1e300, 0.6, "clock"},
+		{"voltage NaN", 1e6, math.NaN(), "voltage"},
+		{"voltage -1", 1e6, -1, "voltage"},
+		{"ceilings", MaxClockHz, MaxVoltageV, ""},
+		{"fastest VFS point", 19e6, 1.2, ""},
+	}
+	for _, tc := range cases {
+		cfg := scCfg()
+		cfg.ClockHz, cfg.VoltageV = tc.clock, tc.voltage
+		_, err := New(cfg, img())
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want one naming the %s", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestRunSecondsRejectsBadDurations: a negative or non-finite duration is
+// an error and leaves the cycle where it was; it used to wrap into a
+// near-endless cycle budget.
+func TestRunSecondsRejectsBadDurations(t *testing.T) {
+	p, err := New(mcCfg(), blockKernelMCImage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if err := p.RunSeconds(s); err == nil || p.Cycle() != 0 {
+			t.Errorf("RunSeconds(%v): error %v at cycle %d, want an error at cycle 0", s, err, p.Cycle())
+		}
+	}
+	if err := p.RunSeconds(0); err != nil || p.Cycle() != 0 {
+		t.Errorf("RunSeconds(0): error %v at cycle %d, want none at cycle 0", err, p.Cycle())
 	}
 }
 

@@ -218,6 +218,9 @@ func TestScenarioFastForwardGoldenEquivalence(t *testing.T) {
 				if arch == power.MCNoSync && app != apps.MF3L && fast.SpinSkippedCycles() == 0 {
 					t.Error("spin fast-forward never engaged on a busy-wait scenario cell")
 				}
+				if arch == power.MCNoSync && app != apps.MF3L && fast.BlockMCParkedCycles() == 0 {
+					t.Error("strides never parked a poller on a busy-wait scenario cell")
+				}
 				if arch == power.MCNoSync {
 					windowed := runFFGoldenWindowed(t, scn, app, arch, exact.Cycle())
 					assertFFEquivalent(t, exact.PowerConfig().NumCores, exact, windowed)
