@@ -161,7 +161,7 @@ func main() {
 	probe := flag.Float64("probe", 2.5, "simulated seconds per operating-point probe")
 	patho := flag.Float64("pathological", 0.2, "RP-CLASS pathological-beat share for table1/fig6")
 	seed := flag.Int64("seed", 1, "synthetic ECG seed")
-	exact := flag.Bool("exact", false, "disable every fast path (idle and spin fast-forward, block runs, strides); simulate every cycle (bit-identical results, slower)")
+	exact := flag.Bool("exact", false, "disable every fast path (idle fast-forward, block runs, strides); simulate every cycle (bit-identical results, slower)")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "parallel sweep workers (results are identical for any value; 1 = serial)")
 	quiet := flag.Bool("quiet", false, "suppress per-point progress on stderr")
 	format := flag.String("format", "table", "output format: table (rendered) or json (one object per grid point)")

@@ -122,7 +122,7 @@ func main() {
 	scenarioPath := flag.String("scenario", "", "scenario file providing the signal configuration (and default app/duration)")
 	dumpMapping := flag.Bool("dump-mapping", false, "print code/data placement and exit")
 	traceWindow := flag.String("trace-window", "", "START:LEN: step the LEN cycles stamped START to START+LEN-1 exactly and record each core's state changes and sync instructions in them on the -timeline-out timeline; the rest of the run keeps every fast path (results are bit-identical)")
-	exact := flag.Bool("exact", false, "disable every fast path (idle and spin fast-forward, block runs, strides); simulate every cycle (bit-identical results, slower)")
+	exact := flag.Bool("exact", false, "disable every fast path (idle fast-forward, block runs, strides); simulate every cycle (bit-identical results, slower)")
 	sweepArchs := flag.Bool("sweep", false, "solve and measure the app on sc, mc-nosync and mc (ignores -arch/-clock-mhz/-voltage; incompatible with -trace-window/-dump-mapping/-checkpoint)")
 	probe := flag.Float64("probe", 2.5, "simulated seconds per operating-point probe (-sweep)")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "parallel sweep workers (-sweep; results are identical for any value)")
@@ -322,7 +322,7 @@ func main() {
 		c.IMBroadcastPct(), c.DMBroadcastPct(), c.RuntimeOverheadPct())
 	fmt.Printf("  code overhead %.2f%%, active IM banks %d, active DM banks %d\n",
 		v.Res.Image.CodeOverheadPct(), p.ActiveIMBanks(), p.ActiveDMBanks())
-	// Engine diagnostics (idle/spin/block fast-path work) now flow through
+	// Engine diagnostics (idle/block/stride fast-path work) now flow through
 	// the metrics registry and print uniformly on stderr below — stdout
 	// carries only simulated results, so runs can be byte-compared without
 	// stripping stats lines. Every engine odometer resets on a checkpoint

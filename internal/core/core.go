@@ -143,8 +143,8 @@ type Synchronizer struct {
 // releases carry the sync group and point; timeouts carry the recovered
 // core and how many points its flag was withdrawn from. Every callback
 // fires at a stepped (committed) cycle — none of the fast-forward engines
-// can skip one (idle leaps cover only quiescent stretches, spin windows
-// contain no sync operations, block strides bail before sync ISE) — so
+// can skip one (idle leaps cover only quiescent stretches, block strides
+// bail before sync ISE) — so
 // the event stream is identical whether or not fast paths are engaged.
 type SyncObserver interface {
 	// SyncArrive fires when core's flag is set at (group, point).
@@ -460,35 +460,6 @@ func (s *Synchronizer) Restore(st SyncState) error {
 		s.violations = append([]string(nil), st.Violations...)
 	}
 	return nil
-}
-
-// StableEqual compares the synchronizer's current state against a captured
-// SyncState, ignoring the cycle stamp and the absolute wake-at cycles: the
-// spin fast-forward engine requires separately (via NextWake) that no wake
-// latency is pending at either end of the compared window, which makes the
-// wake-at values dead state. Armed timeout deadlines are covered by the same
-// NextWake precondition (an armed gated wait schedules a future wake, so the
-// engine never arms over one), but TimeoutAt is compared anyway as a cheap
-// belt-and-braces. Violation messages embed cycle numbers, so only their
-// count is compared — violations append-only, and an equal count across the
-// window means none were recorded in it.
-func (s *Synchronizer) StableEqual(st *SyncState) bool {
-	if len(st.Points) != s.npoints || len(st.Violations) != len(s.violations) {
-		return false
-	}
-	for i := range s.points {
-		if s.points[i] != st.Points[i] {
-			return false
-		}
-	}
-	return s.state == st.State &&
-		s.token == st.Token &&
-		s.irqSub == st.IRQSub &&
-		s.irqPend == st.IRQPend &&
-		s.eventBits == st.EventBits &&
-		s.eventWant == st.EventWant &&
-		s.eventGrp == st.EventGrp &&
-		s.timeoutAt == st.TimeoutAt
 }
 
 // SetSubscription sets core c's interrupt-source mask (MMIO RegIRQSub).

@@ -577,32 +577,3 @@ func TestQuiescentAndNextWake(t *testing.T) {
 		t.Errorf("post-FastForward wake = %d,%v, want %d,true", at, ok, uint64(100+WakeLatency))
 	}
 }
-
-func TestSynchronizerStableEqual(t *testing.T) {
-	var ctr power.Counters
-	s := NewSynchronizer(2, 1, power.MC, &ctr)
-	st := s.Snapshot()
-	if !s.StableEqual(&st) {
-		t.Fatal("fresh synchronizer does not StableEqual its own snapshot")
-	}
-	// The cycle stamp is explicitly ignored: FastForward must not break
-	// equality.
-	s.FastForward(1000)
-	if !s.StableEqual(&st) {
-		t.Fatal("cycle stamp broke StableEqual; it must be ignored")
-	}
-	// A subscription change is stable state and must break equality.
-	s.SetSubscription(0, 1)
-	if s.StableEqual(&st) {
-		t.Fatal("IRQ subscription change went unnoticed")
-	}
-	s.SetSubscription(0, 0)
-	if !s.StableEqual(&st) {
-		t.Fatal("reverting the subscription did not restore equality")
-	}
-	// A recorded violation must break equality (its count is compared).
-	s.Post(0, 99 /* invalid kind on out-of-range point */, 5)
-	if s.StableEqual(&st) {
-		t.Fatal("violation went unnoticed")
-	}
-}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/isa"
@@ -247,8 +248,8 @@ func TestSyncArchSnapshotRoundTrip(t *testing.T) {
 	if err := r.Restore(st); err != nil {
 		t.Fatal(err)
 	}
-	if !r.StableEqual(&st) {
-		t.Fatal("restored synchronizer does not StableEqual the snapshot")
+	if !reflect.DeepEqual(r.Snapshot(), st) {
+		t.Fatal("restored synchronizer does not match the snapshot")
 	}
 	if r.TimeoutDeadline(1) != 22 || r.TimeoutDeadline(2) != 22 {
 		t.Fatalf("deadlines = %d,%d, want 22,22", r.TimeoutDeadline(1), r.TimeoutDeadline(2))
@@ -288,26 +289,4 @@ func TestFastForwardRefusesArmedDeadline(t *testing.T) {
 		}
 	}()
 	s.FastForward(12)
-}
-
-// TestStableEqualCoversSyncArchState: the spin engine's state comparison
-// must notice event and timeout mutations — a leap across a window that
-// changed any of them would not replay exactly.
-func TestStableEqualCoversSyncArchState(t *testing.T) {
-	cfg := power.Arch{Multi: true, TimeoutCycles: 1000}
-	s, _ := newSyncArch(2, 1, cfg)
-	st := s.Snapshot()
-	s.Post(0, isa.OpSEVS, isa.SevsImm(0, 0x01, 0))
-	s.Commit(1)
-	if s.StableEqual(&st) {
-		t.Fatal("event-bit change went unnoticed")
-	}
-	st = s.Snapshot()
-	s.Post(1, isa.OpSNOP, isa.SyncImm(0, 0))
-	s.Commit(2)
-	s.RequestSleep(1)
-	s.Commit(3) // arms core 1's deadline
-	if s.StableEqual(&st) {
-		t.Fatal("armed timeout deadline went unnoticed")
-	}
 }

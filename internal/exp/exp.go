@@ -38,9 +38,8 @@
 // Session; results are deterministic for any worker count.
 //
 // Options.Exact threads the simulator's escape hatch through every run the
-// session performs: all four of the platform's fast paths (idle and
-// spin-loop fast-forward, single-core block runs, multi-core strides) are
-// disabled, SessionStats' fast-forward and block-engine counters stay zero,
+// session performs: all three of the platform's fast paths (idle
+// fast-forward, single-core block runs, multi-core strides) are disabled, SessionStats' fast-forward and block-engine counters stay zero,
 // and — because the engines are bit-identical by contract — every solved
 // point, measurement and error is unchanged. Cache keys include the flag,
 // so exact and fast results never mix even within one session.
@@ -78,7 +77,7 @@ type Options struct {
 	// Scenario labels the options with the scenario they came from; it only
 	// affects progress and error reporting.
 	Scenario string
-	// Exact disables all four of the simulator's fast paths (idle and spin
+	// Exact disables all three of the simulator's fast paths (idle
 	// fast-forward, block runs and strides), forcing cycle-by-cycle
 	// simulation. Results are bit-identical either way (enforced by the
 	// platform's golden-equivalence tests); exact mode exists as a

@@ -84,14 +84,18 @@ type SessionStats struct {
 	WarmMeasures uint64
 
 	// Fast-forward work across every simulation the session ran (probes,
-	// candidate verifications, measurements): idle-quiescence leaps and
-	// spin-loop leaps, with the cycles each accounted in bulk instead of
-	// stepping. Wall-clock diagnostics — Options.Exact zeroes them by
-	// forcing the cycle-accurate path — whose totals depend on run
-	// chunking, never on results (which are bit-identical either way).
-	FFLeaps           uint64
-	FFSkippedCycles   uint64
-	SpinLeaps         uint64
+	// candidate verifications, measurements): idle-quiescence leaps and the
+	// cycles they accounted in bulk instead of stepping. Wall-clock
+	// diagnostics — Options.Exact zeroes them by forcing the
+	// cycle-accurate path — whose totals depend on run chunking, never on
+	// results (which are bit-identical either way).
+	FFLeaps         uint64
+	FFSkippedCycles uint64
+	// SpinSkippedCycles is always 0.
+	//
+	// Deprecated: the spin-loop engine is gone; strides park busy-wait
+	// pollers and leap once every participant is parked, inside
+	// BlockMCCycles. Kept only until perfbench stops reading it.
 	SpinSkippedCycles uint64
 
 	// Basic-block engine work: fast-path engagements and the cycles they
@@ -133,8 +137,6 @@ func (st SessionStats) Publish(reg *obs.Registry) {
 	reg.Set("session.warm_measures", st.WarmMeasures)
 	reg.Set("session.ff_leaps", st.FFLeaps)
 	reg.Set("session.ff_skipped_cycles", st.FFSkippedCycles)
-	reg.Set("session.spin_leaps", st.SpinLeaps)
-	reg.Set("session.spin_skipped_cycles", st.SpinSkippedCycles)
 	reg.Set("session.block_runs", st.BlockRuns)
 	reg.Set("session.block_cycles", st.BlockCycles)
 	reg.Set("session.block_mc_strides", st.BlockMCStrides)
@@ -236,8 +238,6 @@ func (s *Session) recordFF(p *platform.Platform) {
 	s.count(func(st *SessionStats) {
 		st.FFLeaps += p.FFLeaps()
 		st.FFSkippedCycles += p.FFSkippedCycles()
-		st.SpinLeaps += p.SpinLeaps()
-		st.SpinSkippedCycles += p.SpinSkippedCycles()
 		st.BlockRuns += p.BlockRuns()
 		st.BlockCycles += p.BlockCycles()
 		st.BlockMCStrides += p.BlockMCStrides()

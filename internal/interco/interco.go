@@ -30,10 +30,9 @@ type Result struct {
 }
 
 // PhasePeriod is the cycle count after which the rotating arbitration
-// priority repeats: only rr mod PhasePeriod is observable (see prio). It is
-// the alignment grain of the platform's spin-loop fast-forward — a repeating
-// request pattern produces repeating grant/stall outcomes once its period is
-// a multiple of PhasePeriod, so state recurrence is checked on that grid.
+// priority repeats: only rr mod PhasePeriod is observable (see prio): a
+// repeating request pattern produces repeating grant/stall outcomes once
+// its period is a multiple of PhasePeriod.
 // The one exception is a conflict-free pattern: when no two same-cycle
 // requests collide incompatibly on a bank, every request is granted at every
 // phase (winner selection only matters to stalled losers, and read merges
@@ -64,8 +63,8 @@ func NewCrossbar(nbanks int) *Crossbar {
 func (x *Crossbar) Advance() { x.rr++ }
 
 // AdvanceN rotates the arbitration priority by n cycles at once, for the
-// platform's fast-forward engines: leaping over n cycles — quiescent ones,
-// or whole periods of a proven-periodic spin pattern — must leave the
+// platform's fast paths: leaping over n cycles — quiescent ones, or a
+// stride's cycles with every participant parked — must leave the
 // rotating priority exactly where a cycle-by-cycle run would. Only
 // rr mod PhasePeriod is observable (see prio), so n is reduced first to
 // keep the counter far from overflow.

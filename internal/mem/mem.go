@@ -79,11 +79,6 @@ type DMem struct {
 	// banks[b][o]: flat storage laid out bank-major.
 	words  []uint16
 	bankOn [isa.DMBanks]bool
-	// gen counts successful writes (including Restore, which replaces the
-	// whole contents). It is the read-set stability witness of the spin
-	// fast-forward engine: a window over which gen did not change read the
-	// same value from every location on every visit — see Gen.
-	gen uint64
 }
 
 // NewDMem returns a data memory with every bank powered off.
@@ -133,18 +128,8 @@ func (m *DMem) Write(bank, offset int, v uint16) bool {
 		return false
 	}
 	m.words[i] = v
-	m.gen++
 	return true
 }
-
-// Gen returns the memory's write-generation stamp, a counter advanced by
-// every successful Write (and by Restore). Two equal Gen readings bracket a
-// window in which no location changed, which is how the platform's
-// spin-loop fast-forward proves a polling loop's read set stable without
-// tracking individual addresses. The stamp is simulation-process state, not
-// architectural state: it is not part of snapshots, and its absolute value
-// carries no meaning.
-func (m *DMem) Gen() uint64 { return m.gen }
 
 // DMemState is the deep-copied content and power state of a data memory,
 // captured by Snapshot and reinstated by Restore (platform checkpoints).
@@ -165,9 +150,6 @@ func (m *DMem) Restore(st DMemState) error {
 	}
 	copy(m.words, st.Words)
 	m.bankOn = st.BankOn
-	// The whole contents changed: invalidate any read-set stability window
-	// a caller derived from Gen.
-	m.gen++
 	return nil
 }
 

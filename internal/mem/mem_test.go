@@ -190,38 +190,3 @@ func TestMapperNames(t *testing.T) {
 		t.Error("mapper names must differ")
 	}
 }
-
-// TestDMemGen pins the write-generation contract the spin fast-forward's
-// read-set stability check is built on: successful writes and Restore bump
-// the stamp; reads and rejected writes do not.
-func TestDMemGen(t *testing.T) {
-	m := NewDMem()
-	m.SetBankPower(0, true)
-	g0 := m.Gen()
-	if !m.Write(0, 0, 42) {
-		t.Fatal("write to powered bank failed")
-	}
-	if m.Gen() == g0 {
-		t.Error("successful write did not bump the generation")
-	}
-	g1 := m.Gen()
-	if _, ok := m.Read(0, 0); !ok {
-		t.Fatal("read failed")
-	}
-	if m.Gen() != g1 {
-		t.Error("read bumped the generation")
-	}
-	if m.Write(1, 0, 7) { // bank 1 is powered off
-		t.Fatal("write to powered-off bank succeeded")
-	}
-	if m.Gen() != g1 {
-		t.Error("rejected write bumped the generation")
-	}
-	snap := m.Snapshot()
-	if err := m.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if m.Gen() == g1 {
-		t.Error("Restore did not invalidate the generation window")
-	}
-}

@@ -43,8 +43,6 @@ func eventArgs(ev Event) map[string]any {
 		return map[string]any{"withdrawn_groups": ev.Arg1}
 	case KindADCSample:
 		return map[string]any{"samples": ev.Arg1}
-	case KindSpinLeap:
-		return map[string]any{"period": ev.Arg1, "iterations": ev.Arg2}
 	case KindBlockStride:
 		return map[string]any{"instrs": ev.Arg1, "cores": ev.Arg2}
 	case KindPhase:
@@ -91,8 +89,7 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 			Ts:   ev.Cycle,
 			Args: eventArgs(ev),
 		}
-		if ev.Dur != 0 || ev.Kind == KindIdleLeap || ev.Kind == KindSpinLeap ||
-			ev.Kind == KindBlockStride || ev.Kind == KindPhase {
+		if ev.Dur != 0 || ev.Kind == KindIdleLeap || ev.Kind == KindBlockStride || ev.Kind == KindPhase {
 			dur := ev.Dur
 			te.Phase = "X"
 			te.Dur = &dur

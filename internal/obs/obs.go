@@ -3,8 +3,8 @@
 //
 // A fast run records only boundary events that every engine already
 // crosses — core wake/sleep/halt, barrier arrive/release, sync-timeout
-// fire, ADC sample publication, and one span per idle leap / spin leap /
-// block stride — so all four fast paths stay engaged and an observed run is
+// fire, ADC sample publication, and one span per idle leap / block stride —
+// so all three fast paths stay engaged and an observed run is
 // bit-identical to an unobserved one. Exact cycles are all stepped, so they
 // also record each core's state changes and synchronization instructions.
 //
@@ -14,7 +14,7 @@
 // the platform tests). Call sites must keep the receiver a concrete
 // *Sink: boxing it into an interface would defeat both guarantees.
 //
-// Timeline and registry contents are process state, like the spin/block
+// Timeline and registry contents are process state, like the block
 // engine diagnostics: they are reset when a platform adopts a snapshot
 // and are never serialized into snapshots (see docs/FORMATS.md).
 package obs
@@ -45,9 +45,6 @@ const (
 	KindADCSample
 	// KindIdleLeap is one idle fast-forward leap spanning Dur cycles.
 	KindIdleLeap
-	// KindSpinLeap is one spin fast-forward leap spanning Dur cycles
-	// (Arg1 = loop period in cycles, Arg2 = iterations replayed).
-	KindSpinLeap
 	// KindBlockStride is one block-engine run spanning Dur cycles
 	// (Arg1 = instructions retired in the stride, Arg2 = participating
 	// running cores: 1 for single-core block runs, ≥ 2 for multi-core
@@ -85,7 +82,6 @@ var kindNames = [...]string{
 	KindBarrierRelease: "barrier-release",
 	KindADCSample:      "adc-sample",
 	KindIdleLeap:       "idle-leap",
-	KindSpinLeap:       "spin-leap",
 	KindBlockStride:    "block-stride",
 	KindPhase:          "phase",
 	KindCoreState:      "core-state",

@@ -136,10 +136,10 @@ func TestSinkRecordsAndNilSafe(t *testing.T) {
 
 	s := NewSink(NewTimeline(16), NewRegistry())
 	s.Instant(KindWake, TrackCore, 2, 100, 0, 0)
-	s.Span(KindSpinLeap, TrackEngine, 0, 200, 64, 8, 8)
+	s.Span(KindBlockStride, TrackEngine, 0, 200, 64, 8, 2)
 	s.Phase("probe ecg/MC", 0, 300, 0)
-	s.Add("engine.spin.leaps", 1)
-	s.Observe("engine.spin_leap_cycles", 64)
+	s.Add("engine.block.mc_strides", 1)
+	s.Observe("engine.block_stride_cycles", 64)
 	evs := s.Events()
 	if len(evs) != 3 {
 		t.Fatalf("got %d events, want 3", len(evs))
@@ -153,7 +153,7 @@ func TestSinkRecordsAndNilSafe(t *testing.T) {
 	if evs[2].Label != "probe ecg/MC" || evs[2].Track != TrackSession {
 		t.Fatalf("phase = %+v", evs[2])
 	}
-	if s.Registry().Counter("engine.spin.leaps") != 1 {
+	if s.Registry().Counter("engine.block.mc_strides") != 1 {
 		t.Fatal("registry counter not recorded")
 	}
 }

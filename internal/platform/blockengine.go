@@ -1,7 +1,7 @@
 // Predecoded basic-block execution engine.
 //
-// The two fast-forward engines (fastforward.go, spinff.go) remove the quiet
-// cycles; this engine attacks the loud ones. When cores are marching through
+// The idle fast-forward (fastforward.go) removes the quiet cycles; this
+// engine attacks the loud ones. When cores are marching through
 // straight-line code, Step still pays the full seven-phase toll per cycle —
 // classify every core, arbitrate request lists, re-derive the MemOp, walk
 // the opcode dispatch — even though nothing about the cycle is observable
@@ -30,7 +30,7 @@
 //     whose granted fetch the engine cannot execute ends the stride before
 //     it commits.
 //
-// Unlike the fast-forward leaps, these cycles are fully simulated — every
+// Unlike the idle leaps, these cycles are fully simulated — every
 // instruction executes with architectural fidelity; only the per-cycle
 // dispatch overhead is removed — so bit-identity with -exact holds by
 // construction wherever the engine's preconditions do:
@@ -48,55 +48,44 @@
 //     exact-mode accounting). Under contention only a granted fetch counts:
 //     a core that loses arbitration to such an instruction simply stalls.
 //
-// The one regime deliberately left to others is the short busy-wait loop:
-// executing a spin loop instruction-by-instruction — even cheaply — is
-// asymptotically worse than the spin engine's O(1) leap per proven period.
-// On a taken backward branch shorter than maxSpinPeriod the engine
-// therefore opens a sticky per-core yield span, which closes when the
-// core's PC leaves the loop. The spin engine can only leap once every
-// running core spins, so a yield hands the platform to Step only then: a
-// single-core run ends at the yield, and a stride carries yielded pollers
-// alongside its working cores, ending after the cycle in which every
-// participant is yielded. The yields are the spin engine's nomination: it
-// arms a recurrence probe when every running core is yielded, which is
-// exactly when a leap is possible. Short loops are also what DSP kernels
-// are made of, and a loop whose registers march (an induction variable, a
-// walking pointer) can never recur, so the spin engine can never leap it.
-// The yield therefore carries a verdict: at each stepped visit to the loop
-// head the core's full state is compared with the previous visit, and
-// blockVerdictVisits consecutive differences release the yield and record
-// the loop's latch as unleapable for the platform's lifetime, so later
-// entries of that loop run here from their first iteration. A genuine poll
-// loop recurs at its head and keeps its yield; a stride that carried it
-// restarts its count, since its head visits there went unobserved.
-// With the idle fast-forward leaping the quiescent cycles, the four engines
-// compose: idle FF / spin FF / single-core blocks / multi-core strides.
+// A stride also parks the busy-wait pollers it carries (park.go). A taken
+// backward branch shorter than maxPollLoop opens a per-core poll span, which
+// closes when the core's PC leaves the loop. A participant whose span holds
+// no store and no stop instruction is recorded for one period from a visit
+// to its loop head; when the head state recurs with every loaded word
+// unchanged, the poller leaves the per-cycle plan and the lanes plan only
+// the participants left, so one working core beside parked pollers runs on
+// the lock-step lane. Parking is exact because a core's next state depends
+// only on its own state, its grants and the words it loads: a requester
+// alone on its banks is granted at every rotating-priority phase (the
+// argument behind interco.PlanConflictFree), no store has reached its read
+// set and its head state recurred, so every later period repeats the
+// recorded one. The stride materializes the poller — its recorded state at
+// its position, its activity in bulk — before any of that can change:
+// before planning a cycle in which another participant's request lands on
+// one of its banks while it uses that bank, after a cycle whose committed
+// store hits a word it loads, and when the stride ends. A parked poller
+// therefore never shares a bank with an active request in a cycle it uses
+// it, so the active participants' arbitration and the stride's exit cycle
+// are those of the unparked stride. Lock-step pollers that fetch one PC and
+// load the same words park as one requester, counted as Arbitrate merges
+// them. Once every participant is parked nothing is left to change their
+// course before the stride's end, so the stride leaps there in one step:
+// the MC-nosync busy-wait between samples costs O(1) per stride.
 //
-// A stride also parks the pollers it carries (park.go). A yielded
-// participant whose loop holds no store and no stop instruction is recorded
-// for one period from a visit to its loop head; when the head state recurs
-// with every loaded word unchanged, the poller leaves the per-cycle plan and
-// the lanes plan only the participants left, so one working core beside
-// parked pollers runs on the lock-step lane. Parking is exact because a
-// core's next state depends only on its own state, its grants and the words
-// it loads: a requester alone on its banks is granted at every
-// rotating-priority phase (the argument behind interco.PlanConflictFree), no
-// store has reached its read set and its head state recurred, so every later
-// period repeats the recorded one. The stride materializes the poller — its
-// recorded state at its position, its activity in bulk — before any of that
-// can change: before planning a cycle in which another participant's request
-// lands on one of its banks while it uses that bank, after a cycle whose
-// committed store hits a word it loads, and when the stride ends. A parked
-// poller therefore never shares a bank with an active request in a cycle it
-// uses it, so the active participants' arbitration and the stride's exit
-// cycle are those of the unparked stride. Lock-step pollers that fetch one
-// PC and load the same words park as one requester, counted as Arbitrate
-// merges them.
+// Short loops are also what DSP kernels are made of, and a loop whose
+// registers march (an induction variable, a walking pointer) never recurs
+// at its head. Its recordings fail, and parkMaxFails consecutive failures
+// mark its latch unparkable for the platform's lifetime: no poll span opens
+// there again, so later entries of that loop cost the stride nothing
+// beyond executing it. A single running core is never parked: one core
+// polling alone, or a loop polling an MMIO register, runs exactly on
+// single-core blocks or Step.
 //
-// Like the fast-forward engines, everything here is simulation-process
-// state: Restore resets it (snapshot.go) and leap/engagement
-// placement may differ across Run chunkings while every architectural
-// observable stays bit-identical — enforced by blockengine_test.go, the
+// Like the idle fast-forward, everything here is simulation-process state:
+// Restore resets it (snapshot.go) and leap/engagement placement may differ
+// across Run chunkings while every architectural observable stays
+// bit-identical — enforced by blockengine_test.go, park_test.go, the
 // randomized cross-engine differential fuzzer (difffuzz_test.go), the
 // golden-equivalence suites and the scenario matrix.
 
@@ -114,30 +103,15 @@ import (
 	"repro/internal/power"
 )
 
-// maxSpinPeriod bounds a yield's loop: a taken backward branch opens one
-// only when its latch lies fewer than maxSpinPeriod instructions past its
-// head. Longer loops run here, iteration by iteration.
-const maxSpinPeriod = 24
+// maxPollLoop bounds a poll span's loop: a taken backward branch opens one
+// only when its latch lies fewer than maxPollLoop instructions past its
+// head. Longer loops run on strides, iteration by iteration.
+const maxPollLoop = 24
 
-// blockVerdictVisits is how many consecutive visits to a yielded loop's
-// head, each in a core state differing from the visit before, prove the
-// loop unleapable; the first visit after the yield has nothing to recur
-// from and counts as a change. The spin engine's recurrence proof needs
-// every running core's state to repeat exactly, so a loop whose head state
-// keeps changing is Step's cost with nothing to gain from yielding. Three
-// visits judge even the four-trip loops of the bundled DSP kernels before
-// they exit. A poll loop whose polled word changes now and then differs at
-// one visit per change and keeps its yield.
-const blockVerdictVisits = 3
-
-// spinYield is one core's sticky spin yield and the verdict on its loop.
-type spinYield struct {
-	on      bool
-	lo, hi  int      // loop head and latch (the backward branch) PCs
-	atHead  bool     // the previous check already counted this head visit
-	seen    bool     // head holds an earlier visit's state
-	changes int      // consecutive head visits whose state differed from the one before
-	head    cpu.Core // core state at the previous head visit
+// pollSpan is one core's poll span: the loop a stride may record and park.
+type pollSpan struct {
+	on     bool
+	lo, hi int // loop head and latch (the backward branch) PCs
 }
 
 // blockEngine is the engine state embedded in Platform.
@@ -147,13 +121,11 @@ type blockEngine struct {
 	// keeps it.
 	set *mem.BlockSet
 
-	// Sticky per-core spin yields: once every running core's PC lies in its
-	// yielded loop the engine stays off, and the spin engine probes the
-	// stepped stretch for a recurrence (spinff.go).
-	yield []spinYield
-	// unleapable marks, by IM address, the latches of loops judged
-	// unleapable (blockVerdictVisits); nil until the first verdict.
-	unleapable []bool
+	// Per-core poll spans, kept current by the strides (blockRespan).
+	yield []pollSpan
+	// unparkable marks, by IM address, the latches of loops judged
+	// unparkable (parkFail); nil until the first verdict.
+	unparkable []bool
 
 	// Reusable scratch for the multi-core planner (no per-cycle allocs).
 	active []int             // participating core ids this stride
@@ -162,8 +134,8 @@ type blockEngine struct {
 	im     []interco.Request // one cycle's fetch requests
 
 	// Parked pollers (park.go): per-core recordings, allocated by the first
-	// stride that watches a yielded participant, and the requesters parked
-	// in the current stride.
+	// stride that watches a poll span, and the requesters parked in the
+	// current stride.
 	rec            []parkRec
 	leads, parked  uint8  // parked requesters' lead cores; every parked core
 	imPark, dmPark uint32 // banks the parked requesters use
@@ -176,12 +148,13 @@ type blockEngine struct {
 	mcAligned uint64 // stride cycles run on the lock-step lane
 	mcParks   uint64 // requesters parked
 	mcParked  uint64 // core-cycles spent parked
+	mcLeapt   uint64 // stride cycles leapt with every participant parked
 }
 
 // blockInit sizes the engine's per-core state for ncore cores; called once
 // from New after the block tables are built.
 func (b *blockEngine) blockInit(ncore int) {
-	b.yield = make([]spinYield, ncore)
+	b.yield = make([]pollSpan, ncore)
 	b.active = make([]int, 0, ncore)
 	b.live = make([]int, 0, ncore)
 	b.dm = make([]interco.Request, 0, ncore)
@@ -218,14 +191,19 @@ func (p *Platform) BlockMCCycles() uint64 { return p.block.mcCycles }
 // resets it.
 func (p *Platform) BlockMCParkedCycles() uint64 { return p.block.mcParked }
 
-// blockReset clears the engine's sticky yields, loop verdicts, poll-loop
+// BlockMCLeaptCycles returns how many of BlockMCCycles a stride leapt in
+// one step because every participant was parked. A wall-clock diagnostic
+// like BlockMCCycles; Restore resets it.
+func (p *Platform) BlockMCLeaptCycles() uint64 { return p.block.mcLeapt }
+
+// blockReset clears the engine's poll spans, loop verdicts, poll-loop
 // recordings and diagnostics: Restore. The block tables themselves derive
 // from the immutable image and survive.
 func (p *Platform) blockReset() {
 	for c := range p.block.yield {
-		p.block.yield[c] = spinYield{}
+		p.block.yield[c] = pollSpan{}
 	}
-	clear(p.block.unleapable)
+	clear(p.block.unparkable)
 	p.block.parkReset()
 	p.block.runs = 0
 	p.block.cycles = 0
@@ -234,6 +212,7 @@ func (p *Platform) blockReset() {
 	p.block.mcAligned = 0
 	p.block.mcParks = 0
 	p.block.mcParked = 0
+	p.block.mcLeapt = 0
 }
 
 // blockStrideCoresName[n-1] names the stride-length histogram for strides
@@ -264,7 +243,7 @@ func (p *Platform) blockRun(limit uint64) {
 	// Count the running cores; gated and halted cores contribute fixed
 	// per-cycle counter increments on either path.
 	anchor := -1
-	nrun, nyield := 0, 0
+	nrun := 0
 	var gated, halted uint64
 	for c := 0; c < p.ncore; c++ {
 		switch p.sync.State(c) {
@@ -272,10 +251,6 @@ func (p *Platform) blockRun(limit uint64) {
 			nrun++
 			if anchor < 0 {
 				anchor = c
-			}
-			// Every running core's loop is judged, even once one spins.
-			if p.blockYielded(c) {
-				nyield++
 			}
 		case core.StateGated:
 			gated++
@@ -286,8 +261,6 @@ func (p *Platform) blockRun(limit uint64) {
 	switch {
 	case nrun == 0:
 		return // fully idle: the quiescence engine's territory
-	case nyield == nrun:
-		return // every running core spins: the spin engine's domain
 	case nrun == 1:
 		p.blockRunSingle(limit, anchor, gated, halted)
 	default:
@@ -368,16 +341,9 @@ loop:
 			}
 			// Keep IR on the same trajectory Step's fetch phase would, so
 			// core snapshots stay bit-identical across engines.
-			prevPC := cr.PC
 			cr.IR = ins
 			if cr.ExecuteBlock(ins, loadVal) {
 				taken++
-				instrs++
-				cyc++
-				if p.blockYield(anchor, prevPC) {
-					break loop
-				}
-				continue
 			}
 			instrs++
 			cyc++
@@ -421,7 +387,6 @@ loop:
 	p.obs.Span(obs.KindBlockStride, obs.TrackEngine, 0, start, n, int64(instrs), 1)
 	p.obs.Observe("engine.block_stride_cycles", n)
 	p.obs.Observe(blockStrideCoresName[0], n)
-	p.spinDisarm()
 }
 
 // Participant states of one multi-core stride cycle, as Step's phases 1–4
@@ -445,7 +410,9 @@ func (p *Platform) blockRunMulti(limit uint64, gated, halted uint64) {
 	// touches data memory at all (mem.RunSummary): pure-compute strides —
 	// the lock-step common case between sync points — skip data-access
 	// planning entirely until a branch lands in a run that needs it. A held
-	// fetch sits on a load or store, so it sets memPlan too.
+	// fetch sits on a load or store, so it sets memPlan too. A poll span
+	// whose core left the loop outside a stride (in Step or a single-core
+	// run) closes here; nyield counts the spans left open.
 	all := be.active[:0]
 	memPlan := false
 	nyield := 0
@@ -456,11 +423,16 @@ func (p *Platform) blockRunMulti(limit uint64, gated, halted uint64) {
 		if !p.sync.Runnable(c, p.cycle+1) {
 			return // inside its wake latency: these are idle cycles
 		}
-		if be.set.Summary(p.cores[c].PC).TouchesMem() {
+		pc := p.cores[c].PC
+		if be.set.Summary(pc).TouchesMem() {
 			memPlan = true
 		}
-		if be.yield[c].on {
-			nyield++
+		if y := &be.yield[c]; y.on {
+			if pc < y.lo || pc > y.hi {
+				y.on = false
+			} else {
+				nyield++
+			}
 		}
 		all = append(all, c)
 	}
@@ -494,7 +466,7 @@ func (p *Platform) blockRunMulti(limit uint64, gated, halted uint64) {
 	watched := cyc - 1
 
 stride:
-	for cyc < end && nyield < nall {
+	for cyc < end {
 		if pend != 0 {
 			if p.unpark(pend, cyc, &sd) {
 				memPlan = true
@@ -502,16 +474,28 @@ stride:
 			pend = 0
 			act = p.strideLive(all, act, &crs)
 		}
-		// A yielded participant that is not parked may be recording its
-		// loop. Parked participants are yielded, so a stride always keeps
-		// a working one.
+		// A participant in a poll span that is not parked may be recording
+		// its loop.
 		if nyield > bits.OnesCount8(be.parked) && cyc != watched {
 			watched = cyc
-			if p.parkWatch(cyc, act) {
+			parked, retired := p.parkWatch(cyc, act)
+			nyield -= retired
+			if parked {
 				act = p.strideLive(all, act, &crs)
 			}
 		}
 		nact := len(act)
+		if nact == 0 {
+			// Every participant is parked: no request or store is left to
+			// touch their banks or read sets before the stride's end, so
+			// the crossbars advance there in one step and the exit below
+			// materializes the pollers.
+			p.imx.AdvanceN(end - cyc)
+			p.dmx.AdvanceN(end - cyc)
+			be.mcLeapt += end - cyc
+			cyc = end
+			break
+		}
 
 		// ---- Lock-step fast lane: every participant aligned at the same PC
 		// with no pipeline bubble and no held fetch — the paper's MC steady
@@ -794,14 +778,7 @@ stride:
 	for _, c := range all {
 		p.perCoreBusy[c] += n
 		p.windowBusy[c] += uint32(n)
-		// A carried yielded core's head visits went unobserved: its
-		// verdict count restarts, so a poll loop is never judged from a
-		// partial observation.
-		if y := &be.yield[c]; y.on {
-			*y = spinYield{on: true, lo: y.lo, hi: y.hi}
-		}
 	}
-	p.spinDisarm()
 	p.cycle = cyc
 	p.sync.FastForward(cyc)
 	p.lastCycleIdle = false
@@ -845,33 +822,21 @@ func (p *Platform) blockEnd(limit uint64) uint64 {
 	return end
 }
 
-// blockYield is called after core c took a branch from latch inside a
-// stretch. A tight backward loop is the spin engine's domain — its O(1)
-// leap beats executing every iteration — unless the loop was already judged
-// unleapable, so it reports whether the engine must yield core c stickily,
-// and if so opens the yield span.
-func (p *Platform) blockYield(c, latch int) bool {
-	head := p.cores[c].PC
-	if head > latch || latch-head >= maxSpinPeriod ||
-		latch < len(p.block.unleapable) && p.block.unleapable[latch] {
-		return false
-	}
-	p.block.yield[c] = spinYield{on: true, lo: head, hi: latch}
-	return true
-}
-
-// blockRespan keeps core c's yield span current after it executed the
+// blockRespan keeps core c's poll span current after it executed the
 // control transfer at pc inside a multi-core stride: a taken short backward
-// branch opens (or reopens) a span as blockYield decides, and a PC that
-// left the span closes it. It returns the change in the number of yielded
-// cores.
+// branch whose latch is not judged unparkable opens (or reopens) a span, and
+// a PC that left the span closes it. It returns the change in the number of
+// open spans.
 func (p *Platform) blockRespan(c, pc int, taken bool) int {
-	y := &p.block.yield[c]
+	be := &p.block
+	y := &be.yield[c]
 	was := y.on
-	if !(taken && p.blockYield(c, pc)) && y.on {
-		if at := p.cores[c].PC; at < y.lo || at > y.hi {
-			y.on = false
-		}
+	switch head := p.cores[c].PC; {
+	case taken && head <= pc && pc-head < maxPollLoop &&
+		!(pc < len(be.unparkable) && be.unparkable[pc]):
+		*y = pollSpan{on: true, lo: head, hi: pc}
+	case y.on && (head < y.lo || head > y.hi):
+		y.on = false
 	}
 	switch {
 	case y.on == was:
@@ -880,44 +845,4 @@ func (p *Platform) blockRespan(c, pc int, taken bool) int {
 		return 1
 	}
 	return -1
-}
-
-// blockYielded reports whether running core c is inside its yielded spin
-// loop and must keep stepping. It also judges the loop: each visit to the
-// head — the core about to fetch it, counted once however long the fetch
-// waits — compares the core's state with the previous visit's, and
-// blockVerdictVisits consecutive differences release the yield and record
-// the latch as unleapable.
-func (p *Platform) blockYielded(c int) bool {
-	y := &p.block.yield[c]
-	if !y.on {
-		return false
-	}
-	cr := p.cores[c]
-	if cr.PC < y.lo || cr.PC > y.hi {
-		y.on = false // the loop exited
-		return false
-	}
-	if cr.PC != y.lo || cr.Bubble != 0 || cr.Fetched {
-		y.atHead = false
-		return true
-	}
-	if y.atHead {
-		return true
-	}
-	y.atHead = true
-	if y.seen && *cr == y.head {
-		y.changes = 0 // the head state recurred: a leap may lie ahead
-		return true
-	}
-	y.seen, y.head = true, *cr
-	if y.changes++; y.changes < blockVerdictVisits {
-		return true
-	}
-	if p.block.unleapable == nil {
-		p.block.unleapable = make([]bool, isa.IMWords)
-	}
-	p.block.unleapable[y.hi] = true
-	y.on = false
-	return false
 }

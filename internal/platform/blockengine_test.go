@@ -170,9 +170,7 @@ func TestBlockEngineOpcodeDifferential(t *testing.T) {
 
 // blockKernelWords is a fast-forward-resistant compute kernel: a long
 // unrolled ALU body with a store per iteration (its backward jump is far
-// longer than any spin yield's loop, and the stores defeat the spin engine's
-// recurrence proof) and no
-// sleep or ADC dependence (nothing for the idle engine). Every cycle is
+// longer than any poll span's loop) and no sleep or ADC dependence (nothing for the idle engine). Every cycle is
 // compute-bound, so the block engine carries essentially the whole run.
 func blockKernelWords() []isa.Word {
 	w := []isa.Word{
@@ -370,10 +368,8 @@ func TestBlockEngineSnapshotMidBlock(t *testing.T) {
 }
 
 // TestBlockEngineYieldsSpinLoops: a tight single-core poll loop on a banked
-// address is the one busy regime the block engine must not keep — executing
-// it beats Step but loses to the spin engine's O(1) leap. The engine must
-// yield after the first taken backward branch and the spin engine must then
-// carry the run, bit-identically.
+// address is never parked — parking needs a stride — so single-core block
+// runs must keep it rather than yield it to Step, bit-identically.
 func TestBlockEngineYieldsSpinLoops(t *testing.T) {
 	words := []isa.Word{
 		enc(isa.OpADDI, 7, 0, 0, 200),
@@ -407,20 +403,16 @@ func TestBlockEngineYieldsSpinLoops(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertIdentical(t, exact, fast)
-	if fast.SpinSkippedCycles() < budget/2 {
-		t.Errorf("spin engine skipped only %d of %d cycles; the block engine must yield spin loops",
-			fast.SpinSkippedCycles(), budget)
-	}
-	if fast.BlockCycles() > 64 {
-		t.Errorf("block engine executed %d cycles of a spin loop, want only the pre-yield prefix", fast.BlockCycles())
+	if fast.BlockCycles() < budget-64 {
+		t.Errorf("block engine executed %d of %d cycles of a lone poll loop, want nearly all", fast.BlockCycles(), budget)
 	}
 }
 
 // countedLoopSrc is the shape of the bundled DSP kernels: a nine-instruction
 // counted loop whose loads walk a window through a marching index, nested in
 // a short outer loop that publishes its accumulator through a per-core
-// private word. Both backward branches are of spin-detectable distance, but
-// neither loop's state ever recurs, so the spin engine can never leap them.
+// private word. Both backward branches open poll spans, but neither loop
+// can park: the inner one's state never recurs and the outer one stores.
 const countedLoopSrc = `
 .code main
     li   r4, 256        ; shared input window
@@ -469,13 +461,11 @@ func countedLoopImage(t *testing.T, ncore int) *Image {
 }
 
 // nonIdleCycles counts the cycles of a run the idle fast-forward did not
-// leap: those the spin engine, the block engine or Step had to carry.
+// leap: those the block engine or Step had to carry.
 func nonIdleCycles(p *Platform) uint64 { return p.Cycle() - p.FFSkippedCycles() }
 
-// TestBlockEngineCountedLoopSC: a marching counted loop sits in the spin
-// yield's domain (short backward branch) but can never be leapt, so after
-// the yield's verdict the block engine must carry it — from the first
-// iteration of every later entry — bit-identically.
+// TestBlockEngineCountedLoopSC: a marching counted loop on a single core
+// runs on block runs from its first iteration, bit-identically.
 func TestBlockEngineCountedLoopSC(t *testing.T) {
 	mk := func(t *testing.T) *Image { return countedLoopImage(t, 1) }
 	exact, fast := runModes(t, scCfg(), mk, 60_000)
@@ -484,44 +474,18 @@ func TestBlockEngineCountedLoopSC(t *testing.T) {
 	if w, _ := fast.PeekData(0, 1216); w != v {
 		t.Error("kernel output diverges")
 	}
-	if fast.SpinSkippedCycles() != 0 {
-		t.Errorf("spin engine leapt %d cycles of a marching loop, want 0", fast.SpinSkippedCycles())
-	}
 	if got, all := fast.BlockCycles(), nonIdleCycles(fast); got*10 < all*9 {
 		t.Errorf("block engine carried %d of %d non-idle cycles, want at least 90%%", got, all)
 	}
-
-	// Verdicts are process state: rewinding the platform clears them, and
-	// it judges its loops anew on the way back to the same end state.
-	p, err := New(scCfg(), mk(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Run(20_000); err != nil {
-		t.Fatal(err)
-	}
-	snap := p.Snapshot()
-	if err := p.Run(40_000); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	for _, judged := range p.block.unleapable {
-		if judged {
-			t.Fatal("Restore kept the loop verdicts")
-		}
-	}
-	if err := p.Run(40_000); err != nil {
-		t.Fatal(err)
-	}
-	assertIdentical(t, exact, p)
 }
 
 // TestBlockEngineCountedLoopMC: the same counted loop in lock-step on three
 // MC cores (merged reads of the shared window, private stores on distinct
-// banks) must be carried by multi-core strides once every participant's
-// yield has its verdict.
+// banks) must be carried by multi-core strides, and the verdict must judge
+// both loops unparkable: the inner one because its recordings keep
+// failing, the outer one because it stores. Verdicts are process state:
+// rewinding the platform clears them, and it judges its loops anew on the
+// way back to the same end state.
 func TestBlockEngineCountedLoopMC(t *testing.T) {
 	mk := func(t *testing.T) *Image { return countedLoopImage(t, 3) }
 	exact, fast := runModes(t, mcCfg(), mk, 60_000)
@@ -535,13 +499,52 @@ func TestBlockEngineCountedLoopMC(t *testing.T) {
 	if got, all := fast.BlockMCCycles(), nonIdleCycles(fast); got*10 < all*9 {
 		t.Errorf("multi-core strides carried %d of %d non-idle cycles, want at least 90%%", got, all)
 	}
+	judged := 0
+	for _, j := range fast.block.unparkable {
+		if j {
+			judged++
+		}
+	}
+	if judged != 2 {
+		t.Errorf("%d latches judged unparkable, want the inner and the outer loop's", judged)
+	}
+	for c := 0; c < 3; c++ {
+		if fast.block.yield[c].on {
+			t.Errorf("core %d still holds a poll span on a judged loop", c)
+		}
+	}
+
+	p, err := New(mcCfg(), mk(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Run(20_000); err != nil {
+		t.Fatal(err)
+	}
+	snap := p.Snapshot()
+	if err := p.Run(40_000); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range p.block.unparkable {
+		if j {
+			t.Fatal("Restore kept the loop verdicts")
+		}
+	}
+	if err := p.Run(40_000); err != nil {
+		t.Fatal(err)
+	}
+	assertIdentical(t, exact, p)
 }
 
 // TestBlockEngineVerdictSparesSettlingPoll: the verdict must not take a
-// genuine poll loop away from the spin engine. A producer core rewrites the
-// polled word three times with gaps and halts; each rewrite changes the
-// poller's head state at one visit only, so the poll loop keeps its yield
-// and is spin-leapt once it settles.
+// genuine poll loop away from parking. A producer core rewrites the polled
+// word three times with gaps and then polls a word nobody writes; each
+// rewrite fails one recording of the poller, so its loop keeps its poll
+// span, parks again once the word settles, and the stride leaps with both
+// cores parked.
 func TestBlockEngineVerdictSparesSettlingPoll(t *testing.T) {
 	poller := `
 .code poller
@@ -565,6 +568,9 @@ gap:
     addi r2, r2, 1
     sw   r2, 0(r7)
     blt  r2, r6, next
+idle:
+    lw   r1, 1(r7)
+    beqz r1, idle
     halt
 `
 	const budget = 60_000
@@ -572,22 +578,25 @@ gap:
 		// Distinct IM banks let a stride carry both cores, so the poller
 		// is already yielded when the rewrites land.
 		return buildImage(t, 0x2000, 0, []string{poller, producer}, []int{0, isa.IMBankWords},
-			[]DataSeg{{Base: 200, Words: []uint16{0}}})
+			[]DataSeg{{Base: 200, Words: []uint16{0, 0}}})
 	}
 	exact, fast := runModes(t, mcCfg(), mk, budget)
 	assertIdentical(t, exact, fast)
 	if fast.CoreRegs(1)[2] != 3 {
 		t.Fatal("producer did not finish its three rewrites")
 	}
-	if skipped := fast.SpinSkippedCycles(); skipped*10 < budget*9 {
-		t.Errorf("spin engine skipped only %d of %d cycles; the settled poll loop must be leapt", skipped, budget)
+	if leapt := fast.BlockMCLeaptCycles(); leapt*10 < budget*9 {
+		t.Errorf("strides leapt only %d of %d cycles; the settled poll loop must park", leapt, budget)
+	}
+	if latch := 3; latch < len(fast.block.unparkable) && fast.block.unparkable[latch] {
+		t.Error("the poll loop was judged unparkable")
 	}
 }
 
 // contendedSrc is a compute kernel whose data accesses collide: every core
 // reads and rewrites its own words 16 apart, which the ATU's word
-// interleaving puts on one DM bank. Its loop body is maxSpinPeriod
-// instructions or longer, so no yield ever ends a stride.
+// interleaving puts on one DM bank. Its loop body is maxPollLoop
+// instructions or longer, so it opens no poll span.
 const contendedSrc = `
 .code contended
     li   r13, 0x7F00
@@ -723,11 +732,12 @@ func TestBlockEngineContendedEveryPhase(t *testing.T) {
 // TestBlockEngineStrideCarriesPoller: core 1 polls a shared progress word
 // while core 0 computes for several thousand cycles, publishing each
 // iteration and reading an MMIO register that ends its stride, then halts.
-// Strides must carry the worker and the yielded poller together — also when
-// a stride starts with the poller already yielded — release the poller on
-// the exact cycle, and leave its second, endless wait in the same loop to
-// the spin engine. The loop must not be judged unleapable on the way: the
-// polled word changed between every two visits the strides let Step see.
+// Strides must carry the worker and the poller together — also when a
+// stride starts with the poller already in its poll span — release the
+// poller on the exact cycle, and leave its second, endless wait in the same
+// loop, alone once the worker halted, to single-core block runs. The loop
+// must not be judged unparkable on the way: the polled word changes once
+// per worker iteration.
 func TestBlockEngineStrideCarriesPoller(t *testing.T) {
 	worker := `
 .code worker
@@ -807,7 +817,12 @@ poll:
 	if got := uint64(fast.CoreRegs(1)[8]); got != release {
 		t.Errorf("poller left its loop at cycle %d, exact run at %d", got, release)
 	}
-	if rest, got := budget-release, fast.SpinSkippedCycles(); got*10 < rest*9 {
-		t.Errorf("spin engine skipped %d of the %d cycles after the release, want at least 90%%", got, rest)
+	if rest, got := budget-release, fast.BlockCycles(); got*10 < rest*9 {
+		t.Errorf("block runs carried %d of the %d cycles after the release, want at least 90%%", got, rest)
+	}
+	for latch, judged := range fast.block.unparkable {
+		if judged {
+			t.Errorf("the loop with its latch at %d was judged unparkable", latch)
+		}
 	}
 }

@@ -1,8 +1,10 @@
 package platform
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/power"
 )
@@ -28,6 +30,7 @@ prod:
     sw   r1, 0(r4)
     addi r2, r2, 1
     sw   r2, 0(r7)      ; publish
+    sw   r2, 1(r7)      ; and a copy, in another DM bank, for a second consumer
     blt  r2, r6, prod
     halt
 `
@@ -61,39 +64,53 @@ func nosyncCfg() Config {
 	}
 }
 
-// busyWaitImage builds the producer/consumer pair with the given consumer.
-func busyWaitImage(t *testing.T, consumer string) *Image {
-	t.Helper()
-	return buildImage(t, 0x2000, 0, []string{spinProducerSrc, consumer}, []int{0, 64},
-		[]DataSeg{{Base: 200, Words: []uint16{0}}, {Base: 300, Words: []uint16{0}}})
+// secondConsumer is spinConsumerSrc on the counter's copy, accumulating
+// into the word after the first consumer's sum: both words lie in DM banks
+// of their own, so the two consumers can park side by side.
+func secondConsumer() string {
+	r := strings.NewReplacer("li   r7, 200", "li   r7, 201", "li   r5, 300", "li   r5, 301")
+	return r.Replace(spinConsumerSrc)
 }
 
-// TestSpinFastForwardBusyWait is the engine's canonical positive case: the
-// MC-nosync producer/consumer pair, where the consumer's poll loop used to
-// defeat quiescence detection. The spin engine must leap most of the run
-// while staying bit-identical to the exact path.
+// busyWaitImage builds the producer with the given consumers, the first at
+// IM address 64 behind it and each further one in its own IM bank.
+func busyWaitImage(t *testing.T, consumers ...string) *Image {
+	t.Helper()
+	srcs, bases := []string{spinProducerSrc}, []int{0}
+	for i, c := range consumers {
+		srcs, bases = append(srcs, c), append(bases, max(64, i*isa.IMBankWords))
+	}
+	return buildImage(t, 0x2000, 0, srcs, bases,
+		[]DataSeg{{Base: 200, Words: []uint16{0, 0}}, {Base: 300, Words: []uint16{0, 0}}})
+}
+
+// TestSpinFastForwardBusyWait is the canonical busy-wait case: the MC-nosync
+// producer with two consumers in their own IM banks, whose poll loops defeat
+// quiescence detection. Between samples both consumers poll, so strides park
+// them and leap to the next ADC event: the leaps must cover most of the run
+// while it stays bit-identical to the exact path.
 func TestSpinFastForwardBusyWait(t *testing.T) {
-	mk := func(t *testing.T) *Image { return busyWaitImage(t, spinConsumerSrc) }
+	second := secondConsumer()
+	mk := func(t *testing.T) *Image { return busyWaitImage(t, spinConsumerSrc, second) }
 	exact, fast := runModes(t, nosyncCfg(), mk, 40_000)
 	assertIdentical(t, exact, fast)
 	if !fast.AllHalted() {
-		t.Fatal("busy-wait pair did not complete")
+		t.Fatal("busy-wait run did not complete")
 	}
-	if sum, _ := fast.PeekData(0, 300); sum != 1+2+3+4+5+6 {
-		t.Errorf("consumer sum = %d, want 21", sum)
+	for addr := uint16(300); addr <= 301; addr++ {
+		if sum, _ := fast.PeekData(0, addr); sum != 1+2+3+4+5+6 {
+			t.Errorf("consumer sum at %d = %d, want 21", addr, sum)
+		}
 	}
-	if fast.SpinSkippedCycles() == 0 {
-		t.Fatal("spin fast-forward never engaged on a busy-wait run")
-	}
-	if skipped := fast.SpinSkippedCycles(); skipped < fast.Cycle()/2 {
-		t.Errorf("spin engine skipped only %d of %d cycles; want spin domination", skipped, fast.Cycle())
+	if leapt := fast.BlockMCLeaptCycles(); leapt < fast.Cycle()/2 {
+		t.Errorf("strides leapt only %d of %d cycles with every poller parked; want most", leapt, fast.Cycle())
 	}
 }
 
 // TestSpinFastForwardDeadlockedSpin covers a spin with no wake source at
-// all (single core polling the host flag, no ADC): the engine must leap
-// straight to the cycle budget, the spin analogue of the all-gated deadlock
-// leap.
+// all (single core polling the host flag, no ADC). A lone poller is never
+// parked and an MMIO poll never leaps: the run must still reach the cycle
+// budget bit-identically, on Step and single-core blocks.
 func TestSpinFastForwardDeadlockedSpin(t *testing.T) {
 	src := `
 .code main
@@ -111,14 +128,10 @@ spin:
 	if fast.Cycle() != 50_000 {
 		t.Errorf("fast run stopped at cycle %d, want the full 50000 budget", fast.Cycle())
 	}
-	if fast.SpinSkippedCycles() < 45_000 {
-		t.Errorf("spin engine skipped %d cycles, want nearly all of the deadlocked spin", fast.SpinSkippedCycles())
-	}
 }
 
 // TestSpinFastForwardRejectsStores: a poll loop that also stores every
-// iteration writes data memory, so the recurrence proof must reject it and
-// the run must fall back to cycle-accurate stepping — still bit-identical.
+// iteration writes data memory; the run must stay bit-identical.
 func TestSpinFastForwardRejectsStores(t *testing.T) {
 	storingConsumer := `
 .code consumer
@@ -137,16 +150,11 @@ wait:
 	mk := func(t *testing.T) *Image { return busyWaitImage(t, storingConsumer) }
 	exact, fast := runModes(t, nosyncCfg(), mk, 40_000)
 	assertIdentical(t, exact, fast)
-	if fast.SpinLeaps() != 0 {
-		t.Errorf("spin engine leapt %d times over a storing loop, want 0", fast.SpinLeaps())
-	}
 }
 
 // TestSpinFastForwardRejectsSyncPoll: a poll loop that registers on a sync
-// point (SNOP) every iteration keeps its spin yield, so the engine probes
-// it, but each SNOP mirrors the point into data memory and records a
-// barrier arrival. The recurrence proof must reject the loop through the
-// data-memory write generation, and the run must stay bit-identical,
+// point (SNOP) every iteration mirrors the point into data memory and
+// records a barrier arrival each time. The run must stay bit-identical,
 // boundary instants included.
 func TestSpinFastForwardRejectsSyncPoll(t *testing.T) {
 	snopConsumer := `
@@ -173,27 +181,12 @@ wait:
 	if n := countKind(fast.Observer().Timeline().Events(), obs.KindBarrierArrive); n == 0 {
 		t.Fatal("the SNOP poll recorded no barrier arrivals")
 	}
-	if fast.SpinLeaps() != 0 {
-		t.Errorf("spin engine leapt %d times over a SNOP poll, want 0", fast.SpinLeaps())
-	}
-	// Mid-poll the consumer is yielded: the loop was nominated, and the
-	// proof is what turned it down.
-	p, err := New(cfg, mk(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Run(10_000); err != nil {
-		t.Fatal(err)
-	}
-	if !p.block.yield[1].on {
-		t.Error("the SNOP poll loop holds no spin yield mid-poll")
-	}
 }
 
 // TestSpinFastForwardRejectsEventRendezvous: two cores meet at an event
 // rendezvous (SEVS) and sleep in a tight loop. The rendezvous wakes the
-// sleeper without writing data memory, so the platform state recurs every
-// round, but each round records sleep and wake instants a leap would drop.
+// sleeper without writing data memory, and each round records sleep and
+// wake instants the fast run must reproduce.
 func TestSpinFastForwardRejectsEventRendezvous(t *testing.T) {
 	first := `
 .code first
@@ -214,14 +207,11 @@ loop:
 	}
 	exact, fast := runModes(t, mcCfg(), mk, 40_000)
 	assertIdentical(t, exact, fast)
-	if fast.SpinLeaps() != 0 {
-		t.Errorf("spin engine leapt %d times over an event rendezvous, want 0", fast.SpinLeaps())
-	}
 }
 
 // TestSpinFastForwardRejectsMarchingRegisters: a poll loop with an
-// iteration counter is PC-periodic but its register state never recurs, so
-// the platform's periodicity proof must fail and no leap may happen.
+// iteration counter is PC-periodic but its register state never recurs; the
+// run must stay bit-identical.
 func TestSpinFastForwardRejectsMarchingRegisters(t *testing.T) {
 	countingConsumer := `
 .code consumer
@@ -240,14 +230,10 @@ wait:
 	mk := func(t *testing.T) *Image { return busyWaitImage(t, countingConsumer) }
 	exact, fast := runModes(t, nosyncCfg(), mk, 40_000)
 	assertIdentical(t, exact, fast)
-	if fast.SpinLeaps() != 0 {
-		t.Errorf("spin engine leapt %d times despite marching registers, want 0", fast.SpinLeaps())
-	}
 }
 
 // TestSpinFastForwardRejectsUnstableMMIO: polling the cycle counter reads a
-// different value every iteration. The observed value lands in a register,
-// so the recurrence proof fails by construction and the loop must step.
+// different value every iteration; the run must stay bit-identical.
 func TestSpinFastForwardRejectsUnstableMMIO(t *testing.T) {
 	src := `
 .code main
@@ -266,13 +252,10 @@ spin:
 	if !fast.AllHalted() {
 		t.Fatal("cycle-poll loop did not terminate")
 	}
-	if fast.SpinLeaps() != 0 {
-		t.Errorf("spin engine leapt %d times over an unstable MMIO poll, want 0", fast.SpinLeaps())
-	}
 }
 
-// TestSpinFastForwardRejectsLongLoop: a loop body of maxSpinPeriod
-// instructions or more opens no spin yield, so it is never nominated.
+// TestSpinFastForwardRejectsLongLoop: a loop body of maxPollLoop
+// instructions or more opens no poll span; the run must stay bit-identical.
 func TestSpinFastForwardRejectsLongLoop(t *testing.T) {
 	longConsumer := `
 .code consumer
@@ -313,16 +296,14 @@ wait:
 	mk := func(t *testing.T) *Image { return busyWaitImage(t, longConsumer) }
 	exact, fast := runModes(t, nosyncCfg(), mk, 40_000)
 	assertIdentical(t, exact, fast)
-	if fast.SpinLeaps() != 0 {
-		t.Errorf("spin engine leapt %d times over a %d-instruction loop, want 0", fast.SpinLeaps(), 28)
-	}
 }
 
-// TestSpinFastForwardStatistics pins the statistics contract: exact mode
-// reports zeros, fast mode reports the leap work, and Restore resets the
-// diagnostics without touching architectural state.
+// TestSpinFastForwardStatistics pins the statistics contract: fast mode
+// reports the all-parked leap work, and Restore resets the diagnostics
+// without touching architectural state.
 func TestSpinFastForwardStatistics(t *testing.T) {
-	mk := func(t *testing.T) *Image { return busyWaitImage(t, spinConsumerSrc) }
+	second := secondConsumer()
+	mk := func(t *testing.T) *Image { return busyWaitImage(t, spinConsumerSrc, second) }
 	cfg := nosyncCfg()
 	cfg.Exact = false
 	p, err := New(cfg, mk(t))
@@ -332,8 +313,9 @@ func TestSpinFastForwardStatistics(t *testing.T) {
 	if err := p.Run(12_000); err != nil {
 		t.Fatal(err)
 	}
-	if p.SpinLeaps() == 0 || p.SpinSkippedCycles() == 0 {
-		t.Fatalf("expected spin leaps mid-run, got %d leaps / %d cycles", p.SpinLeaps(), p.SpinSkippedCycles())
+	if p.BlockMCLeaptCycles() == 0 || p.BlockMCParkedCycles() == 0 {
+		t.Fatalf("expected all-parked leaps mid-run, got %d leapt cycles / %d parked core-cycles",
+			p.BlockMCLeaptCycles(), p.BlockMCParkedCycles())
 	}
 	snap := p.Snapshot()
 	q, err := New(cfg, mk(t))
@@ -343,8 +325,9 @@ func TestSpinFastForwardStatistics(t *testing.T) {
 	if err := q.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	if q.SpinLeaps() != 0 || q.SpinSkippedCycles() != 0 {
-		t.Errorf("restored platform reports %d leaps / %d skipped, want fresh diagnostics", q.SpinLeaps(), q.SpinSkippedCycles())
+	if q.BlockMCLeaptCycles() != 0 || q.BlockMCParkedCycles() != 0 {
+		t.Errorf("restored platform reports %d leapt / %d parked, want fresh diagnostics",
+			q.BlockMCLeaptCycles(), q.BlockMCParkedCycles())
 	}
 	// Continuing the restored platform must still match a straight run.
 	if err := p.Run(28_000); err != nil {

@@ -122,7 +122,7 @@ func assertEquivalent(t *testing.T, v *apps.Variant, exact, fast *platform.Platf
 	if exact.FFSkippedCycles() != 0 {
 		t.Errorf("exact mode skipped %d cycles, want 0", exact.FFSkippedCycles())
 	}
-	if fast.FFSkippedCycles()+fast.SpinSkippedCycles() == 0 {
+	if fast.FFSkippedCycles()+fast.BlockMCLeaptCycles() == 0 {
 		t.Error("fast-forward never engaged")
 	}
 }

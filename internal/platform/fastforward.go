@@ -40,15 +40,14 @@ import (
 
 // Run simulates up to n further cycles, stopping early when every core has
 // halted or a fault occurs. Unless the platform is in exact mode, quiescent
-// and proven-periodic spin-loop stretches are leapt over in bulk
-// (spinff.go), while every other stretch with a core at work — one core in
-// straight-line code, or N ≥ 2 running cores, their bank conflicts
-// arbitrated cycle by cycle and any busy-waiting pollers carried along —
+// stretches are leapt over in bulk, while every stretch with a core at
+// work — one core in straight-line code, or N ≥ 2 running cores, their bank
+// conflicts arbitrated cycle by cycle and busy-waiting pollers parked —
 // executes on the basic-block fast path (blockengine.go). Step simulates
-// only the cycles no engine can reproduce: sync ISE, HALT, MMIO, faults and
-// the spin engine's probes. The observable behaviour is identical either
-// way, and neither the chunking of a run into Run calls nor a mode switch
-// between them changes it.
+// only the cycles no engine can reproduce: sync ISE, HALT, MMIO and faults.
+// The observable behaviour is identical either way, and neither the
+// chunking of a run into Run calls nor a mode switch between them changes
+// it.
 func (p *Platform) Run(n uint64) error {
 	limit := p.cycle + n
 	for p.cycle < limit {
@@ -71,9 +70,6 @@ func (p *Platform) Run(n uint64) error {
 		}
 		if p.AllHalted() {
 			return nil
-		}
-		if !p.exact {
-			p.spinObserve(limit)
 		}
 	}
 	return nil
@@ -152,6 +148,4 @@ func (p *Platform) leap(k uint64) {
 	p.dmx.AdvanceN(k)
 	p.ffLeaps++
 	p.ffSkipped += k
-	// An idle leap crossed cycles an armed spin probe assumed contiguous.
-	p.spin.armed = false
 }

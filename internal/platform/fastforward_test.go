@@ -26,8 +26,8 @@ func runModes(t *testing.T, cfg Config, mkImg func(t *testing.T) *Image, n uint6
 		return p
 	}
 	exact, fast = build(true), build(false)
-	if exact.SpinSkippedCycles() != 0 {
-		t.Errorf("exact mode spin-skipped %d cycles, want 0", exact.SpinSkippedCycles())
+	if exact.StepCycles() != exact.Cycle() {
+		t.Errorf("exact mode stepped %d of %d cycles, want all", exact.StepCycles(), exact.Cycle())
 	}
 	return exact, fast
 }
@@ -40,7 +40,7 @@ func BoundaryEvents(events []obs.Event) []obs.Event {
 	var out []obs.Event
 	for _, e := range events {
 		switch e.Kind {
-		case obs.KindIdleLeap, obs.KindSpinLeap, obs.KindBlockStride, obs.KindPhase, obs.KindCoreState, obs.KindSyncOp:
+		case obs.KindIdleLeap, obs.KindBlockStride, obs.KindPhase, obs.KindCoreState, obs.KindSyncOp:
 		default:
 			out = append(out, e)
 		}

@@ -25,12 +25,12 @@ func countKind(events []obs.Event, kind obs.Kind) int {
 }
 
 // TestObserverSpinLeapParity: attaching the sink must not change a single
-// observable output of the busy-wait run — and must not disengage the spin
-// engine. Every leap lands on the timeline as one span
-// whose duration is exactly period x iterations, and the skipped-cycle sum
-// reconciles with the engine's own statistics.
+// observable output of the busy-wait run — and must not disengage the
+// strides' all-parked leaps. Every multi-core stride, leaps included, lands
+// on the timeline as one span, and the span and histogram sums reconcile
+// with the engine's own statistics.
 func TestObserverSpinLeapParity(t *testing.T) {
-	mk := func(t *testing.T) *Image { return busyWaitImage(t, spinConsumerSrc) }
+	mk := func(t *testing.T) *Image { return busyWaitImage(t, spinConsumerSrc, secondConsumer()) }
 	cfg := nosyncCfg()
 	cfg.Exact = false
 	plain, err := New(cfg, mk(t))
@@ -50,28 +50,24 @@ func TestObserverSpinLeapParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertIdentical(t, plain, observed)
-	if e, f := plain.SpinSkippedCycles(), observed.SpinSkippedCycles(); e != f || f == 0 {
-		t.Fatalf("spin engagement diverges under observation: plain %d, observed %d", e, f)
+	if e, f := plain.BlockMCLeaptCycles(), observed.BlockMCLeaptCycles(); e != f || f == 0 {
+		t.Fatalf("all-parked leaps diverge under observation: plain %d, observed %d", e, f)
 	}
 	var spanSum uint64
 	for _, e := range sink.Events() {
-		if e.Kind != obs.KindSpinLeap {
-			continue
+		if e.Kind == obs.KindBlockStride && e.Arg2 >= 2 {
+			spanSum += e.Dur
 		}
-		if e.Dur != uint64(e.Arg1)*uint64(e.Arg2) {
-			t.Errorf("spin-leap span at cycle %d: dur %d != period %d x iterations %d",
-				e.Cycle, e.Dur, e.Arg1, e.Arg2)
-		}
-		spanSum += e.Dur
 	}
-	if spanSum != observed.SpinSkippedCycles() {
-		t.Errorf("spin-leap spans sum to %d cycles, engine skipped %d", spanSum, observed.SpinSkippedCycles())
+	if spanSum != observed.BlockMCCycles() {
+		t.Errorf("stride spans sum to %d cycles, engine ran %d", spanSum, observed.BlockMCCycles())
 	}
 	if n := countKind(sink.Events(), obs.KindADCSample); n == 0 {
 		t.Error("no ADC sample events on a run that consumed samples")
 	}
-	if h, ok := sink.Registry().Histogram("engine.spin_leap_cycles"); !ok || h.Sum != observed.SpinSkippedCycles() {
-		t.Error("spin-leap histogram does not reconcile with the engine's skipped-cycle count")
+	h, ok := sink.Registry().Histogram("engine.block_stride_cycles")
+	if !ok || h.Sum != observed.BlockCycles()+observed.BlockMCCycles() {
+		t.Error("stride histogram does not reconcile with the engine's block and stride cycles")
 	}
 }
 

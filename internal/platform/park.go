@@ -14,8 +14,9 @@
 // cycle is planned), when a committed store hits its read set (after that
 // cycle) and when the stride ends. A lock-step group of pollers fetching
 // one PC and loading the same words parks as one requester, counted as
-// Arbitrate merges it. The recordings are simulation-process state, like
-// the yields they hang off: Restore clears them.
+// Arbitrate merges it. When every participant is parked, the stride leaps to
+// its end. The recordings are simulation-process state, like the poll spans
+// they hang off: Restore clears them.
 
 package platform
 
@@ -31,11 +32,11 @@ import (
 const (
 	// parkMaxPeriod bounds a recorded poll loop's period, in cycles.
 	parkMaxPeriod = 64
-	// parkMaxFails is how many consecutive recordings of one yield span may
-	// fail — a stall, a period over parkMaxPeriod, a head state that did
-	// not recur — before a stride stops recording it. A marching loop fails
-	// at every head visit; a genuine poll loop fails once per change of a
-	// polled word.
+	// parkMaxFails is how many consecutive recordings of one poll span may
+	// fail within a stride — a stall, a period over parkMaxPeriod, a head
+	// state that did not recur — before its latch is judged unparkable. A
+	// marching loop fails at every head visit; a genuine poll loop fails
+	// once per change of a polled word.
 	parkMaxFails = 4
 )
 
@@ -58,12 +59,11 @@ type parkOp struct {
 // parkCount is a prefix of a proven period's per-core activity.
 type parkCount struct{ fetch, bubble, taken, load uint8 }
 
-// parkRec is one core's recording of its yielded loop and, while the core
+// parkRec is one core's recording of its poll loop and, while the core
 // leads a parked requester, that requester's bookkeeping.
 type parkRec struct {
-	lo, hi int  // yield span the recording belongs to (lo -1: none yet)
-	ok     bool // the span holds only exec, load and control classes
-	fails  int  // consecutive failed recordings of the span in this stride
+	lo, hi int // poll span the recording belongs to (lo -1: none yet)
+	fails  int // consecutive failed recordings of the span in this stride
 	state  uint8
 	n      int // recorded cycles; the period once proven
 
@@ -101,7 +101,7 @@ func (be *blockEngine) parkReset() {
 	}
 }
 
-// parkable reports whether a yield span may be recorded: every instruction
+// parkable reports whether a poll span may be recorded: every instruction
 // in it is fetchable and none is a store or a stop instruction.
 func (p *Platform) parkable(lo, hi int) bool {
 	for pc := lo; pc <= hi; pc++ {
@@ -115,10 +115,11 @@ func (p *Platform) parkable(lo, hi int) bool {
 	return true
 }
 
-// parkWatch advances the recordings of the stride's live yielded
-// participants by the start of cycle cyc, proves those back at their loop
-// head and parks what it proved. It reports whether any participant parked.
-func (p *Platform) parkWatch(cyc uint64, act []int) bool {
+// parkWatch advances the recordings of the stride's live participants in
+// poll spans by the start of cycle cyc, proves those back at their loop
+// head and parks what it proved. It reports whether any participant parked
+// and how many spans it closed by judging their loops unparkable.
+func (p *Platform) parkWatch(cyc uint64, act []int) (parked bool, retired int) {
 	be := &p.block
 	if be.rec == nil {
 		be.rec = make([]parkRec, p.ncore)
@@ -133,10 +134,11 @@ func (p *Platform) parkWatch(cyc uint64, act []int) bool {
 		r := &be.rec[c]
 		if r.lo != y.lo || r.hi != y.hi {
 			r.lo, r.hi, r.state, r.fails = y.lo, y.hi, recNone, 0
-			r.ok = p.parkable(y.lo, y.hi)
-		}
-		if !r.ok || r.fails >= parkMaxFails {
-			continue
+			if !p.parkable(y.lo, y.hi) {
+				p.parkJudge(c, r)
+				retired++
+				continue
+			}
 		}
 		cr := p.cores[c]
 		if r.state == recOpen {
@@ -149,8 +151,8 @@ func (p *Platform) parkWatch(cyc uint64, act []int) bool {
 			last := &r.ops[r.n-1]
 			if cyc != r.t0+uint64(r.n) || cr.PC < r.lo || cr.PC > r.hi || cr.Fetched ||
 				last.pc == int32(cr.PC) && cr.Bubble == 0 {
-				r.fail()
-				if r.fails >= parkMaxFails {
+				if p.parkFail(c, r) {
+					retired++
 					continue
 				}
 			}
@@ -163,32 +165,44 @@ func (p *Platform) parkWatch(cyc uint64, act []int) bool {
 				cand |= 1 << c
 				continue
 			}
-			if r.state != recNone {
-				r.fail()
-				if r.fails >= parkMaxFails {
-					continue
-				}
+			if r.state != recNone && p.parkFail(c, r) {
+				retired++
+				continue
 			}
 			r.state, r.n, r.t0 = recOpen, 0, cyc
 		}
 		if r.state != recOpen {
 			continue
 		}
-		if r.n == parkMaxPeriod {
-			r.fail()
-			continue
-		}
-		if !p.parkRecord(r, c, cr) {
-			r.fail()
+		if (r.n == parkMaxPeriod || !p.parkRecord(r, c, cr)) && p.parkFail(c, r) {
+			retired++
 		}
 	}
-	return cand != 0 && p.park(cyc, cand)
+	return cand != 0 && p.park(cyc, cand), retired
 }
 
-// fail drops the recording and counts the failure.
-func (r *parkRec) fail() {
+// parkFail drops core c's recording and counts the failure. The
+// parkMaxFails-th consecutive one judges the loop unparkable (parkJudge);
+// parkFail reports whether it did.
+func (p *Platform) parkFail(c int, r *parkRec) bool {
 	r.state = recNone
-	r.fails++
+	if r.fails++; r.fails < parkMaxFails {
+		return false
+	}
+	p.parkJudge(c, r)
+	return true
+}
+
+// parkJudge judges core c's loop unparkable — it holds a store or a stop
+// instruction, or its recordings keep failing — and closes c's poll span:
+// its latch is marked, so no span opens there again until Restore.
+func (p *Platform) parkJudge(c int, r *parkRec) {
+	be := &p.block
+	if be.unparkable == nil {
+		be.unparkable = make([]bool, isa.IMWords)
+	}
+	be.unparkable[r.hi] = true
+	be.yield[c].on = false
 }
 
 // parkRecord appends the cycle core c is about to run, assuming every

@@ -269,3 +269,33 @@ func TestParkSplitRun(t *testing.T) {
 		t.Error("no poller parked after the split")
 	}
 }
+
+// TestParkAllParkedLeap: two cores poll flags in RAM that nothing ever
+// writes, each in its own IM and DM bank. Once both are parked nothing can
+// change their course, so one stride runs the whole budget and leaps
+// nearly all of it, bit-identically to -exact.
+func TestParkAllParkedLeap(t *testing.T) {
+	poller := func(flag int) string {
+		return `
+.code poller
+    li   r7, ` + strconv.Itoa(flag) + `
+poll:
+    lw   r1, 0(r7)
+    beqz r1, poll
+    halt
+`
+	}
+	const budget = 50_000
+	mk := func(t *testing.T) *Image {
+		return buildImage(t, 0x2000, 0, []string{poller(200), poller(201)}, []int{0, isa.IMBankWords},
+			[]DataSeg{{Base: 200, Words: []uint16{0, 0}}})
+	}
+	exact, fast := runModes(t, mcCfg(), mk, budget)
+	assertParked(t, exact, fast)
+	if n := fast.BlockMCStrides(); n != 1 {
+		t.Errorf("the run took %d strides, want one", n)
+	}
+	if leapt := fast.BlockMCLeaptCycles(); leapt < budget-100 {
+		t.Errorf("leapt %d of %d cycles, want all but the first few", leapt, budget)
+	}
+}

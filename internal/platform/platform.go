@@ -12,19 +12,17 @@
 // # Simulation engine
 //
 // Run is a multi-mode engine over one cycle-accurate core: Step (step.go)
-// simulates a single platform cycle in seven phases, and four fast paths
-// take over wherever they provably match it. Two fast-forward engines leap
-// over stretches Step would simulate without anything observable
-// happening — fully quiescent stretches (fastforward.go: every core
-// halted, gated or inside its wake latency) and proven-periodic spin-loop
-// stretches (spinff.go: every running core busy-waiting in a
-// side-effect-free loop, the MC-nosync idiom). The basic-block engine
+// simulates a single platform cycle in seven phases, and three fast paths
+// take over wherever they provably match it. The idle fast-forward
+// (fastforward.go) leaps over fully quiescent stretches, in which every
+// core is halted, gated or inside its wake latency. The basic-block engine
 // (blockengine.go) executes compute-bound stretches from per-image
 // predecoded block tables with bulk accounting, as single-core block runs
 // and as multi-core strides that arbitrate bank conflicts exactly as Step
-// does and carry busy-wait pollers alongside working cores, removing Step's
-// per-cycle dispatch overhead without skipping any work.
-// All four are bit-identical to stepping; Config.Exact / SetExact turn all
+// does, removing Step's per-cycle dispatch overhead. Strides park the
+// busy-wait pollers they prove periodic (park.go, the MC-nosync idiom) and
+// leap to their end once every participant is parked.
+// All three are bit-identical to stepping; Config.Exact / SetExact turn all
 // of them off, as an escape hatch and as the reference the
 // golden-equivalence tests compare against.
 //
@@ -112,8 +110,8 @@ type Config struct {
 	// MaxDebug caps the debug/error traces (0 means a generous default).
 	MaxDebug int
 
-	// Exact disables all four fast paths — idle and spin fast-forward,
-	// single-core block runs and multi-core strides — forcing the
+	// Exact disables all three fast paths — idle fast-forward, single-core
+	// block runs and multi-core strides — forcing the
 	// cycle-by-cycle path for every simulated cycle. Both modes produce
 	// bit-identical counters, traces and debug output (enforced by the
 	// golden-equivalence tests); Exact exists as an escape hatch and as the
@@ -142,14 +140,11 @@ type Platform struct {
 	exact         bool
 	lastCycleIdle bool // previous stepped cycle had every core idle/halted
 
-	// Idle-leap and stepped-cycle odometers: process state like the spin
-	// and block diagnostics, so Restore resets them.
+	// Idle-leap and stepped-cycle odometers: process state like the block
+	// diagnostics, so Restore resets them.
 	ffLeaps   uint64 // bulk leaps taken
 	ffSkipped uint64 // cycles accounted in bulk instead of stepped
 	stepped   uint64 // cycles Step advanced
-
-	// Spin-loop fast-forward engine state (see spinff.go).
-	spin spinFF
 
 	// Basic-block execution engine state (see blockengine.go).
 	block blockEngine
@@ -176,7 +171,7 @@ type Platform struct {
 	hostFlag uint16
 
 	// Observability sink state (see internal/obs): process state like the
-	// spin/block diagnostics, reset on Restore, never snapshotted.
+	// block diagnostics, reset on Restore, never snapshotted.
 	obs      *obs.Sink
 	obsWait  []uint64                      // per-core barrier-arrival cycle stamp (0 = none)
 	obsADC   [periph.NumADCChannels]uint64 // per-channel published-sample count
@@ -350,7 +345,6 @@ func New(cfg Config, img *Image) (*Platform, error) {
 		exact:       cfg.Exact,
 	}
 	p.sync = core.NewSynchronizer(n, img.NumSyncPoints, cfg.Arch, &p.ctr)
-	p.spinReset()
 
 	// Memory fabric: the multi-core uses crossbars and the ATU's
 	// interleaving; the baseline simple decoders and linear mapping.
@@ -474,8 +468,8 @@ func New(cfg Config, img *Image) (*Platform, error) {
 func (p *Platform) Counters() *power.Counters { return &p.ctr }
 
 // SetExact forces (true) the cycle-by-cycle path for subsequent Run calls,
-// disabling all four fast paths — idle and spin fast-forward, block runs
-// and strides — or re-enables them (false). Mode switches are safe at any
+// disabling all three fast paths — idle fast-forward, block runs and
+// strides — or re-enables them (false). Mode switches are safe at any
 // cycle boundary: all paths maintain identical architectural state, and a
 // switch resets no engine odometer. An exact stretch after a fast one opens
 // with a record of every core's state when a sink is attached.
@@ -490,7 +484,7 @@ func (p *Platform) SetExact(exact bool) {
 func (p *Platform) Exact() bool { return p.exact }
 
 // FFLeaps returns how many bulk idle leaps the fast-forward engine took.
-// Like SpinLeaps it is a wall-clock diagnostic that Restore resets.
+// Like BlockRuns it is a wall-clock diagnostic that Restore resets.
 func (p *Platform) FFLeaps() uint64 { return p.ffLeaps }
 
 // FFSkippedCycles returns how many cycles were accounted in bulk by the
@@ -500,8 +494,8 @@ func (p *Platform) FFSkippedCycles() uint64 { return p.ffSkipped }
 
 // StepCycles returns how many cycles Step simulated one by one. On a
 // platform that was never restored, whatever its mode switches, it
-// completes the cycle partition: FFSkippedCycles + SpinSkippedCycles +
-// BlockCycles + BlockMCCycles + StepCycles == Cycle. Restore resets it.
+// completes the cycle partition: FFSkippedCycles + BlockCycles +
+// BlockMCCycles + StepCycles == Cycle. Restore resets it.
 func (p *Platform) StepCycles() uint64 { return p.stepped }
 
 // Cycle returns the current cycle number.
@@ -529,8 +523,6 @@ func (p *Platform) PublishMetrics(reg *obs.Registry) {
 	p.ctr.Publish(reg)
 	reg.Add("engine.ff.leaps", p.ffLeaps)
 	reg.Add("engine.ff.skipped_cycles", p.ffSkipped)
-	reg.Add("engine.spin.leaps", p.spin.leaps)
-	reg.Add("engine.spin.skipped_cycles", p.spin.skipped)
 	reg.Add("engine.block.runs", p.block.runs)
 	reg.Add("engine.block.cycles", p.block.cycles)
 	reg.Add("engine.block.mc_strides", p.block.mcRuns)
@@ -538,6 +530,7 @@ func (p *Platform) PublishMetrics(reg *obs.Registry) {
 	reg.Add("engine.block.mc_aligned_cycles", p.block.mcAligned)
 	reg.Add("engine.block.mc_parks", p.block.mcParks)
 	reg.Add("engine.block.mc_parked_core_cycles", p.block.mcParked)
+	reg.Add("engine.block.mc_leapt_cycles", p.block.mcLeapt)
 	reg.Add("engine.step.cycles", p.stepped)
 	reg.Add("sim.cycles", p.cycle)
 	reg.Add("sim.max_sample_busy_cycles", p.maxSampleBusy)

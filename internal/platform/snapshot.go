@@ -165,18 +165,15 @@ func (p *Platform) Restore(s *Snapshot) error {
 	if s.FaultMsg != "" {
 		p.fault = errors.New(s.FaultMsg)
 	}
-	// Spin-engine state (the armed probe, leap statistics) is
-	// simulation-process state, not simulated state: it only influences
-	// *when* the spin engine leaps, never what any leap produces, so
-	// snapshots deliberately omit it and restoring simply re-probes. This
-	// keeps Restore bit-identical to never having stopped while letting
-	// leap placement differ — exactly like Run-call chunking does.
-	// The block engine's yield spans, loop verdicts and engagement
-	// statistics, and the idle-leap and stepped-cycle odometers, are
-	// process state for the same reason: a restored platform re-engages
+	// The block engine's poll spans, recordings, loop verdicts and
+	// engagement statistics, and the idle-leap and stepped-cycle odometers,
+	// are simulation-process state, not simulated state: they only
+	// influence *when* an engine engages, never what it produces, so
+	// snapshots deliberately omit them. A restored platform re-engages
 	// from its block tables wherever the preconditions hold, on one core or
-	// many, and judges its loops anew.
-	p.spinReset()
+	// many, and judges its loops anew. This keeps Restore bit-identical to
+	// never having stopped while letting engagement differ — exactly like
+	// Run-call chunking does.
 	p.blockReset()
 	p.ffLeaps, p.ffSkipped, p.stepped = 0, 0, 0
 	// Observability stamps (barrier-arrival cycles, per-channel sample

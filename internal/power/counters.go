@@ -173,82 +173,6 @@ func (c *Counters) RuntimeOverheadPct() float64 {
 	return 100 * float64(c.SyncInstrs) / float64(c.Instrs)
 }
 
-// Diff returns the field-wise difference c - base: the activity accumulated
-// between two readings of the same counter set. The spin-loop fast-forward
-// engine measures one proven-periodic loop traversal this way and replays
-// it with AddScaled.
-func (c *Counters) Diff(base *Counters) Counters {
-	var groupOps [MaxSyncGroups]uint64
-	for g := range groupOps {
-		groupOps[g] = c.SyncGroupOps[g] - base.SyncGroupOps[g]
-	}
-	return Counters{
-		Cycles:            c.Cycles - base.Cycles,
-		CoreActive:        c.CoreActive - base.CoreActive,
-		CoreStall:         c.CoreStall - base.CoreStall,
-		CoreGated:         c.CoreGated - base.CoreGated,
-		CoreHalted:        c.CoreHalted - base.CoreHalted,
-		Instrs:            c.Instrs - base.Instrs,
-		SyncInstrs:        c.SyncInstrs - base.SyncInstrs,
-		BranchBubbles:     c.BranchBubbles - base.BranchBubbles,
-		IMReqs:            c.IMReqs - base.IMReqs,
-		IMAccesses:        c.IMAccesses - base.IMAccesses,
-		IMConflict:        c.IMConflict - base.IMConflict,
-		DMReqs:            c.DMReqs - base.DMReqs,
-		DMReads:           c.DMReads - base.DMReads,
-		DMWrites:          c.DMWrites - base.DMWrites,
-		DMConflict:        c.DMConflict - base.DMConflict,
-		MMIOReads:         c.MMIOReads - base.MMIOReads,
-		MMIOWrites:        c.MMIOWrites - base.MMIOWrites,
-		XbarReqs:          c.XbarReqs - base.XbarReqs,
-		SyncOps:           c.SyncOps - base.SyncOps,
-		SyncMerged:        c.SyncMerged - base.SyncMerged,
-		SyncWakes:         c.SyncWakes - base.SyncWakes,
-		SyncPointWrites:   c.SyncPointWrites - base.SyncPointWrites,
-		SyncTimeouts:      c.SyncTimeouts - base.SyncTimeouts,
-		SyncGroupOps:      groupOps,
-		UngatedCoreCycles: c.UngatedCoreCycles - base.UngatedCoreCycles,
-		IRQs:              c.IRQs - base.IRQs,
-		ADCSamples:        c.ADCSamples - base.ADCSamples,
-	}
-}
-
-// AddScaled accumulates n copies of o into c: the bulk-accounting step of
-// the spin-loop fast-forward, which replays n whole loop traversals'
-// activity arithmetically. It must touch every field Add touches, so a leap
-// over n periods mutates exactly the counters n periods of stepping would.
-func (c *Counters) AddScaled(o *Counters, n uint64) {
-	c.Cycles += n * o.Cycles
-	c.CoreActive += n * o.CoreActive
-	c.CoreStall += n * o.CoreStall
-	c.CoreGated += n * o.CoreGated
-	c.CoreHalted += n * o.CoreHalted
-	c.Instrs += n * o.Instrs
-	c.SyncInstrs += n * o.SyncInstrs
-	c.BranchBubbles += n * o.BranchBubbles
-	c.IMReqs += n * o.IMReqs
-	c.IMAccesses += n * o.IMAccesses
-	c.IMConflict += n * o.IMConflict
-	c.DMReqs += n * o.DMReqs
-	c.DMReads += n * o.DMReads
-	c.DMWrites += n * o.DMWrites
-	c.DMConflict += n * o.DMConflict
-	c.MMIOReads += n * o.MMIOReads
-	c.MMIOWrites += n * o.MMIOWrites
-	c.XbarReqs += n * o.XbarReqs
-	c.SyncOps += n * o.SyncOps
-	c.SyncMerged += n * o.SyncMerged
-	c.SyncWakes += n * o.SyncWakes
-	c.SyncPointWrites += n * o.SyncPointWrites
-	c.SyncTimeouts += n * o.SyncTimeouts
-	for g := range c.SyncGroupOps {
-		c.SyncGroupOps[g] += n * o.SyncGroupOps[g]
-	}
-	c.UngatedCoreCycles += n * o.UngatedCoreCycles
-	c.IRQs += n * o.IRQs
-	c.ADCSamples += n * o.ADCSamples
-}
-
 // Publish writes every activity counter into reg under the "counters."
 // namespace, in the registry's canonical snake_case naming. The per-group
 // operation split publishes all MaxSyncGroups entries so the exported

@@ -1,9 +1,7 @@
 package power
 
 import (
-	"fmt"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -314,61 +312,6 @@ func TestComponentStrings(t *testing.T) {
 	for comp := Component(0); comp < NumComponents; comp++ {
 		if comp.String() == "" || comp.String()[0] == '?' {
 			t.Errorf("component %d has no name", comp)
-		}
-	}
-}
-
-// counterLeaves flattens a Counters value into its scalar uint64 cells
-// (array fields like SyncGroupOps contribute one leaf per element), with a
-// name per leaf for failure messages. Any field of an unexpected kind fails
-// the test, so the flattening cannot silently skip a future addition.
-func counterLeaves(t *testing.T, c *Counters) (leaves []reflect.Value, names []string) {
-	t.Helper()
-	v := reflect.ValueOf(c).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		f := v.Field(i)
-		name := v.Type().Field(i).Name
-		switch f.Kind() {
-		case reflect.Uint64:
-			leaves = append(leaves, f)
-			names = append(names, name)
-		case reflect.Array:
-			for j := 0; j < f.Len(); j++ {
-				leaves = append(leaves, f.Index(j))
-				names = append(names, fmt.Sprintf("%s[%d]", name, j))
-			}
-		default:
-			t.Fatalf("Counters field %s has unexpected kind %v", name, f.Kind())
-		}
-	}
-	return leaves, names
-}
-
-// TestCountersDiffAddScaled checks the spin fast-forward's bulk-accounting
-// contract over every field by reflection, so a counter added to the struct
-// but forgotten in Diff or AddScaled fails here instead of silently
-// diverging a leap from the cycle-by-cycle reference.
-func TestCountersDiffAddScaled(t *testing.T) {
-	var base, now Counters
-	bl, _ := counterLeaves(t, &base)
-	nl, _ := counterLeaves(t, &now)
-	for i := range bl {
-		bl[i].SetUint(uint64(100 + i))
-		nl[i].SetUint(uint64(100 + i + 3*(i+1))) // delta 3*(i+1) per leaf
-	}
-	d := now.Diff(&base)
-	dl, dn := counterLeaves(t, &d)
-	for i := range dl {
-		if got, want := dl[i].Uint(), uint64(3*(i+1)); got != want {
-			t.Errorf("Diff field %s = %d, want %d", dn[i], got, want)
-		}
-	}
-	sum := base
-	sum.AddScaled(&d, 5)
-	sl, sn := counterLeaves(t, &sum)
-	for i := range sl {
-		if got, want := sl[i].Uint(), uint64(100+i)+5*uint64(3*(i+1)); got != want {
-			t.Errorf("AddScaled field %s = %d, want %d", sn[i], got, want)
 		}
 	}
 }

@@ -65,8 +65,7 @@ const ffGoldenDuration = 0.3
 // run steps from its midpoint.
 const ffGoldenWindow = 1000
 
-// newFFGolden builds one scenario cell's platform (no sink attached: the
-// regime in which the spin engine leaps).
+// newFFGolden builds one scenario cell's platform (no sink attached).
 func newFFGolden(t *testing.T, scn *Scenario, app string, arch power.Arch) *platform.Platform {
 	t.Helper()
 	opts := scn.Options()
@@ -167,9 +166,9 @@ func assertFFEquivalent(t *testing.T, cores int, exact, fast *platform.Platform)
 	if len(ev) != len(fv) {
 		t.Errorf("violations diverge: exact %v, fast %v", ev, fv)
 	}
-	if exact.FFSkippedCycles() != 0 || exact.SpinSkippedCycles() != 0 {
-		t.Errorf("exact mode skipped cycles: idle %d, spin %d; want 0",
-			exact.FFSkippedCycles(), exact.SpinSkippedCycles())
+	if exact.FFSkippedCycles() != 0 || exact.BlockMCCycles() != 0 {
+		t.Errorf("exact mode skipped or strode cycles: idle %d, stride %d; want 0",
+			exact.FFSkippedCycles(), exact.BlockMCCycles())
 	}
 	if exact.BlockCycles() != 0 {
 		t.Errorf("exact mode ran %d cycles on the block engine; want 0", exact.BlockCycles())
@@ -178,22 +177,23 @@ func assertFFEquivalent(t *testing.T, cores int, exact, fast *platform.Platform)
 
 // assertCyclePartition checks that a fresh platform's engine odometers
 // partition its simulated cycles, whatever its mode switches: each one was
-// leapt idle, leapt spinning, run on a single-core block or a multi-core
-// stride, or stepped.
+// leapt idle, run on a single-core block or a multi-core stride (leapt or
+// not), or stepped.
 func assertCyclePartition(t *testing.T, mode string, p *platform.Platform) {
 	t.Helper()
-	ff, spin, block, stride, step := p.FFSkippedCycles(), p.SpinSkippedCycles(), p.BlockCycles(), p.BlockMCCycles(), p.StepCycles()
-	if sum := ff + spin + block + stride + step; sum != p.Cycle() {
-		t.Errorf("%s: idle %d + spin %d + block %d + stride %d + step %d = %d cycles, want Cycle() = %d",
-			mode, ff, spin, block, stride, step, sum, p.Cycle())
+	ff, block, stride, step := p.FFSkippedCycles(), p.BlockCycles(), p.BlockMCCycles(), p.StepCycles()
+	if sum := ff + block + stride + step; sum != p.Cycle() {
+		t.Errorf("%s: idle %d + block %d + stride %d + step %d = %d cycles, want Cycle() = %d",
+			mode, ff, block, stride, step, sum, p.Cycle())
 	}
 }
 
-// TestScenarioFastForwardGoldenEquivalence is the spin-engine acceptance
+// TestScenarioFastForwardGoldenEquivalence is the fast-path acceptance
 // matrix: across every bundled scenario and all three architecture
-// variants, the fast-forwarded run (idle and spin-loop leaps) must be
+// variants, the fast run (idle leaps, blocks and strides) must be
 // bit-identical to -exact. On MC-nosync with polling consumer stages the
-// spin engine must actually have engaged, and a run with an exact window
+// strides must actually have parked pollers and leapt with every
+// participant parked, and a run with an exact window
 // mid-run must match too and keep its cycle partition across the two mode
 // switches.
 func TestScenarioFastForwardGoldenEquivalence(t *testing.T) {
@@ -212,11 +212,11 @@ func TestScenarioFastForwardGoldenEquivalence(t *testing.T) {
 				// EMG grid is genuinely busier than 250 Hz ECG); what is
 				// invariant is that some of it is, and that it never costs
 				// correctness.
-				if total := fast.FFSkippedCycles() + fast.SpinSkippedCycles(); total == 0 {
+				if total := fast.FFSkippedCycles() + fast.BlockMCLeaptCycles(); total == 0 {
 					t.Error("fast-forward never engaged")
 				}
-				if arch == power.MCNoSync && app != apps.MF3L && fast.SpinSkippedCycles() == 0 {
-					t.Error("spin fast-forward never engaged on a busy-wait scenario cell")
+				if arch == power.MCNoSync && app != apps.MF3L && fast.BlockMCLeaptCycles() == 0 {
+					t.Error("strides never leapt with every poller parked on a busy-wait scenario cell")
 				}
 				if arch == power.MCNoSync && app != apps.MF3L && fast.BlockMCParkedCycles() == 0 {
 					t.Error("strides never parked a poller on a busy-wait scenario cell")

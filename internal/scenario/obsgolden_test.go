@@ -101,8 +101,8 @@ func assertObsEquivalent(t *testing.T, cores int, plain, observed *platform.Plat
 	if e, f := plain.FFSkippedCycles(), observed.FFSkippedCycles(); e != f {
 		t.Errorf("idle fast-forward diverges: plain %d skipped, observed %d", e, f)
 	}
-	if e, f := plain.SpinSkippedCycles(), observed.SpinSkippedCycles(); e != f {
-		t.Errorf("spin fast-forward diverges: plain %d skipped, observed %d", e, f)
+	if e, f := plain.BlockMCLeaptCycles(), observed.BlockMCLeaptCycles(); e != f {
+		t.Errorf("all-parked leaps diverge: plain %d leapt, observed %d", e, f)
 	}
 	if e, f := plain.BlockCycles(), observed.BlockCycles(); e != f {
 		t.Errorf("block engine diverges: plain %d cycles, observed %d", e, f)
@@ -125,11 +125,11 @@ func TestScenarioObservedGoldenEquivalence(t *testing.T) {
 				plain := runFFGolden(t, scn, app, arch, false)
 				observed, sink := runObsGolden(t, scn, app, arch)
 				assertObsEquivalent(t, plain.PowerConfig().NumCores, plain, observed)
-				if total := observed.FFSkippedCycles() + observed.SpinSkippedCycles(); total == 0 {
+				if total := observed.FFSkippedCycles() + observed.BlockMCLeaptCycles(); total == 0 {
 					t.Error("fast-forward never engaged under observation")
 				}
-				if arch == power.MCNoSync && app != apps.MF3L && observed.SpinSkippedCycles() == 0 {
-					t.Error("spin fast-forward never engaged under observation on a busy-wait cell")
+				if arch == power.MCNoSync && app != apps.MF3L && observed.BlockMCLeaptCycles() == 0 {
+					t.Error("strides never leapt under observation on a busy-wait cell")
 				}
 				if arch == power.SC && observed.BlockCycles() == 0 {
 					t.Error("block engine never engaged under observation on the single-core cell")
@@ -143,9 +143,6 @@ func TestScenarioObservedGoldenEquivalence(t *testing.T) {
 				reg := sink.Registry()
 				if h, ok := reg.Histogram("engine.idle_leap_cycles"); observed.FFSkippedCycles() > 0 && (!ok || h.Count == 0) {
 					t.Error("idle leaps engaged but engine.idle_leap_cycles histogram is empty")
-				}
-				if h, ok := reg.Histogram("engine.spin_leap_cycles"); observed.SpinSkippedCycles() > 0 && (!ok || h.Count == 0) {
-					t.Error("spin leaps engaged but engine.spin_leap_cycles histogram is empty")
 				}
 				if h, ok := reg.Histogram("engine.block_stride_cycles"); observed.BlockCycles() > 0 && (!ok || h.Count == 0) {
 					t.Error("block strides engaged but engine.block_stride_cycles histogram is empty")

@@ -37,9 +37,9 @@ type SolveRequest struct {
 	Seed *int64 `json:"seed,omitempty"`
 	// PathoFrac overrides the pathological-event share in [0, 1].
 	PathoFrac *float64 `json:"pathological_frac,omitempty"`
-	// Exact disables every simulator fast path: idle and spin
-	// fast-forward, block runs and strides (bit-identical results, slower;
-	// a cross-check knob).
+	// Exact disables every simulator fast path: idle fast-forward, block
+	// runs and strides (bit-identical results, slower; a cross-check
+	// knob).
 	Exact bool `json:"exact,omitempty"`
 }
 
