@@ -420,11 +420,12 @@ func BenchmarkBlockEngine(b *testing.B) {
 		total := uint64(0)
 		for i := 0; i < b.N; i++ {
 			p, err := platform.New(platform.Config{
-				Arch: power.SC, ClockHz: 1e6, VoltageV: 0.6, Exact: exact,
+				Arch: power.SC, ClockHz: 1e6, VoltageV: 0.6,
 			}, blockKernelImage())
 			if err != nil {
 				b.Fatal(err)
 			}
+			p.SetExact(exact)
 			if err := p.Run(cycles); err != nil {
 				b.Fatal(err)
 			}
@@ -492,11 +493,12 @@ func BenchmarkMultiCoreBlockEngine(b *testing.B) {
 		total := uint64(0)
 		for i := 0; i < b.N; i++ {
 			p, err := platform.New(platform.Config{
-				Arch: power.MC, ClockHz: 1e6, VoltageV: 0.5, Exact: exact,
+				Arch: power.MC, ClockHz: 1e6, VoltageV: 0.5,
 			}, blockKernelMCImage())
 			if err != nil {
 				b.Fatal(err)
 			}
+			p.SetExact(exact)
 			if err := p.Run(cycles); err != nil {
 				b.Fatal(err)
 			}

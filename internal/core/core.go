@@ -315,29 +315,15 @@ func (s *Synchronizer) wake(c int) {
 	}
 }
 
-// Quiescent reports whether no core can fetch at the given cycle: every
-// core is halted, gated, or running but still inside its wake latency. A
-// quiescent platform performs no work, so absent an external event (an ADC
-// interrupt) its only future activity is the expiry of pending wake
-// latencies — which NextWake exposes. This is the query the platform's idle
-// fast-forward engine leaps on.
-func (s *Synchronizer) Quiescent(cycle uint64) bool {
-	for c := 0; c < s.nc; c++ {
-		if s.state[c] == StateRunning && cycle >= s.wakeAt[c] {
-			return false
-		}
-	}
-	return true
-}
-
 // NextWake returns the earliest cycle strictly after the given cycle at
 // which some core becomes runnable absent new synchronization or interrupt
 // events, and ok=false when no such internally scheduled wake exists (every
 // core is gated or halted, so only an external interrupt can resume
 // execution). Armed wait-timeout deadlines are folded in: a gated core with
-// a deadline will wake (via its timeout IRQ) at that cycle, so the idle
-// fast-forward engine must not leap past it — the deadline cycle is stepped
-// and committed exactly.
+// a deadline will wake (via its timeout IRQ) at that cycle, so the
+// platform's fast paths must not run past it — the deadline cycle is
+// stepped and committed exactly. Together with Runnable this is what the
+// platform's idle leap is built on.
 func (s *Synchronizer) NextWake(cycle uint64) (at uint64, ok bool) {
 	for c := 0; c < s.nc; c++ {
 		if s.state[c] == StateRunning && s.wakeAt[c] > cycle {

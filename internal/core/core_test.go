@@ -515,36 +515,29 @@ func TestStateStrings(t *testing.T) {
 	}
 }
 
-// TestQuiescentAndNextWake exercises the fast-forward queries: quiescence
-// must track runnability (including wake latency) and NextWake must expose
-// exactly the internally scheduled resume cycles.
-func TestQuiescentAndNextWake(t *testing.T) {
+// TestNextWake exercises the idle leap's bound: NextWake must expose
+// exactly the internally scheduled resume cycles. (Runnable's wake latency
+// is pinned by TestWakeOnCounterZero and TestLockStepResumeAlignment.)
+func TestNextWake(t *testing.T) {
 	s, _ := newSync(3, 1)
-	// All cores start running and runnable: not quiescent, no pending wake.
-	if s.Quiescent(1) {
-		t.Error("running cores must not be quiescent")
-	}
+	// All cores start running and runnable: no pending wake.
 	if _, ok := s.NextWake(1); ok {
 		t.Error("no wake should be scheduled for runnable cores")
 	}
 
-	// Gate every core: quiescent at any cycle, and with no producer left
-	// there is no internal wake either (only an IRQ could resume them).
+	// Gate every core: with no producer left there is no internal wake
+	// (only an IRQ could resume them).
 	for c := 0; c < 3; c++ {
 		if !s.RequestSleep(c) {
 			t.Fatalf("core %d not gated", c)
 		}
 	}
-	if !s.Quiescent(10) {
-		t.Error("all-gated system must be quiescent")
-	}
 	if _, ok := s.NextWake(10); ok {
 		t.Error("all-gated system has no internally scheduled wake")
 	}
 
-	// A releasing SDEC at cycle 20 wakes cores 0 and 1 for 20+WakeLatency:
-	// the system stays quiescent up to (exclusive) that cycle and NextWake
-	// reports it.
+	// A releasing SDEC at cycle 20 wakes cores 0 and 1 for 20+WakeLatency,
+	// and NextWake reports that cycle.
 	s.Post(0, isa.OpSINC, 0)
 	s.Commit(19) // register core 0 (cannot happen while gated; test shortcut)
 	s.points[0].Flags |= 1 << 1
@@ -555,12 +548,6 @@ func TestQuiescentAndNextWake(t *testing.T) {
 	at, ok := s.NextWake(20)
 	if !ok || at != want {
 		t.Errorf("NextWake = %d,%v, want %d,true", at, ok, want)
-	}
-	if !s.Quiescent(want - 1) {
-		t.Error("must stay quiescent until the wake latency expires")
-	}
-	if s.Quiescent(want) {
-		t.Error("woken cores are runnable at the wake cycle")
 	}
 
 	// FastForward moves the cycle stamp so later wakes compute the same

@@ -30,15 +30,15 @@ type Result struct {
 }
 
 // PhasePeriod is the cycle count after which the rotating arbitration
-// priority repeats: only rr mod PhasePeriod is observable (see prio): a
+// priority repeats: only rr mod PhasePeriod is observable (see prio), so a
 // repeating request pattern produces repeating grant/stall outcomes once
-// its period is a multiple of PhasePeriod.
-// The one exception is a conflict-free pattern: when no two same-cycle
-// requests collide incompatibly on a bank, every request is granted at every
-// phase (winner selection only matters to stalled losers, and read merges
-// grant all parties regardless of which rides the broadcast), so the pattern
-// repeats at its own period and the leap only needs AdvanceN to land the
-// phase where a stepped run would.
+// its period is a multiple of PhasePeriod. A request set with no
+// incompatible same-bank pair — a write sharing a bank with anything, or
+// two reads of different offsets — is granted in full at every phase, with
+// one access per distinct bank: winner selection only matters to stalled
+// losers, and read merges grant all parties whichever rides the broadcast.
+// The platform's parked pollers rely on this: a poller alone on its banks
+// repeats its recorded period at any phase.
 const PhasePeriod = 64
 
 // Crossbar arbitrates same-cycle requests onto banks with rotating priority
@@ -123,44 +123,6 @@ func (x *Crossbar) Arbitrate(reqs []Request) Result {
 		res.Stalled++
 	}
 	return res
-}
-
-// PlanConflictFree reports whether reqs — one cycle's request set — is
-// conflict-free: every request would be granted by Arbitrate at every
-// rotating-priority phase. That holds exactly when no bank sees an
-// incompatible pair — a write sharing a bank with anything, or two reads of
-// different offsets — because winner selection only matters to stalled
-// losers, and read merges grant all parties regardless of which rides the
-// broadcast (see PhasePeriod). On success it returns the number of bank
-// accesses the cycle performs post-merge (one per distinct bank); on failure
-// the access count is meaningless and at least one request would stall at
-// some (possibly every) phase.
-//
-// Unlike Arbitrate this is a pure predicate: it never mutates reqs or the
-// crossbar, and its answer holds at every phase, so the lock-step lane of
-// the platform's multi-core stride engine can grant a cycle's data accesses
-// without arbitrating them. Request sets are tiny (at most one per core),
-// so the quadratic same-bank scan beats any map.
-func PlanConflictFree(reqs []Request) (accesses int, ok bool) {
-	for i := range reqs {
-		ri := &reqs[i]
-		first := true
-		for j := 0; j < i; j++ {
-			rj := &reqs[j]
-			if rj.Bank != ri.Bank {
-				continue
-			}
-			// Same-bank pair: only equal-offset reads coexist stall-free.
-			if ri.Write || rj.Write || rj.Offset != ri.Offset {
-				return 0, false
-			}
-			first = false
-		}
-		if first {
-			accesses++
-		}
-	}
-	return accesses, true
 }
 
 func (x *Crossbar) prio(core int) int {

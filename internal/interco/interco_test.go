@@ -2,6 +2,7 @@ package interco
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -202,50 +203,69 @@ func TestQuickOneAccessPerBank(t *testing.T) {
 	}
 }
 
-// Property: PlanConflictFree agrees with Arbitrate at every rotating-priority
-// phase — it reports ok exactly when no phase would stall any request, and on
-// ok its access count matches Arbitrate's post-merge bank accesses (which are
-// then phase-independent). This is the contract the lock-step lane of the
-// platform's multi-core stride engine skips arbitration on.
-func TestQuickPlanConflictFreeMatchesEveryPhase(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
+// Property: a request set with no incompatible same-bank pair — a write
+// sharing a bank with anything, or two reads of different offsets — is
+// granted in full at every rotating-priority phase, with one access per
+// distinct bank, and any other set stalls some request at every phase (see
+// PhasePeriod). The platform's parked pollers rely on the first half: a
+// poller alone on its banks repeats its recorded period at any phase.
+func TestQuickArbitrateGrantsCompatibleSetsAtEveryPhase(t *testing.T) {
+	const nbanks = 8
+	f := func(seed int64, n uint8, compatible bool) bool {
 		rng := rand.New(rand.NewSource(seed))
-		nreq := int(n%9) + 1
-		reqs := make([]Request, nreq)
+		reqs := make([]Request, int(n%nbanks)+1)
+		// In compatible mode a write takes a bank of its own and the reads
+		// of one bank share its offset; with at most nbanks requests a
+		// bank is always left for the next one.
+		var used, written [nbanks]bool
+		var offset [nbanks]int
+		for b := range offset {
+			offset[b] = rng.Intn(3)
+		}
 		for i := range reqs {
-			reqs[i] = Request{
-				Core:   i,
-				Bank:   rng.Intn(4), // few banks to force conflicts
-				Offset: rng.Intn(3),
-				Write:  rng.Intn(4) == 0,
+			r := Request{Core: i, Bank: rng.Intn(4), Offset: rng.Intn(3), Write: rng.Intn(4) == 0}
+			if compatible {
+				for written[r.Bank] || r.Write && used[r.Bank] {
+					r.Bank = (r.Bank + 1) % nbanks
+				}
+				used[r.Bank], written[r.Bank] = true, r.Write
+				if !r.Write {
+					r.Offset = offset[r.Bank]
+				}
+			}
+			reqs[i] = r
+		}
+		conflict := false
+		banks := map[int]bool{}
+		for i, ri := range reqs {
+			banks[ri.Bank] = true
+			for _, rj := range reqs[:i] {
+				if rj.Bank == ri.Bank && (ri.Write || rj.Write || ri.Offset != rj.Offset) {
+					conflict = true
+				}
 			}
 		}
-		plan := make([]Request, nreq)
-		copy(plan, reqs)
-		accesses, ok := PlanConflictFree(plan)
-		// The planner must be pure: the request set is untouched.
-		for i := range plan {
-			if plan[i] != reqs[i] {
-				return false
-			}
+		if compatible && conflict {
+			return false // the generator broke its own rule
 		}
-		x := NewCrossbar(4)
+		x := NewCrossbar(nbanks)
 		for phase := 0; phase < PhasePeriod; phase++ {
 			x.SetPhase(phase)
-			scratch := make([]Request, nreq)
-			copy(scratch, reqs)
-			res := x.Arbitrate(scratch)
-			if ok {
-				if res.Stalled != 0 || res.Accesses != accesses {
+			got := slices.Clone(reqs)
+			res := x.Arbitrate(got)
+			if conflict {
+				if res.Stalled == 0 {
 					return false
 				}
 				continue
 			}
-			// Not conflict-free: some phase must stall someone. (For the
-			// crossbar's winner rule every phase does — an incompatible
-			// pair leaves the loser stalled regardless of priority.)
-			if res.Stalled == 0 {
+			if res.Stalled != 0 || res.Accesses != len(banks) {
 				return false
+			}
+			for _, r := range got {
+				if !r.Granted {
+					return false
+				}
 			}
 		}
 		return true

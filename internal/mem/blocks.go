@@ -52,37 +52,13 @@ func Classify(op isa.Opcode) InstrClass {
 	}
 }
 
-// RunSummary aggregates the straight-line run starting at one address: which
-// kinds of data-memory access appear anywhere in the run (terminator
-// included). The multi-core stride engine reads it once per run instead of
-// re-deriving per cycle whether data-memory arbitration needs planning at
-// all, which keeps the bail decision for pure-compute strides O(1).
-type RunSummary uint8
-
-const (
-	// SumLoad marks at least one LW somewhere in the run.
-	SumLoad RunSummary = 1 << iota
-	// SumStore marks at least one SW somewhere in the run.
-	SumStore
-)
-
-// HasLoad reports whether the run contains a load.
-func (s RunSummary) HasLoad() bool { return s&SumLoad != 0 }
-
-// HasStore reports whether the run contains a store.
-func (s RunSummary) HasStore() bool { return s&SumStore != 0 }
-
-// TouchesMem reports whether the run accesses data memory at all.
-func (s RunSummary) TouchesMem() bool { return s != 0 }
-
 // BlockSet is the basic-block metadata of one loaded instruction memory:
-// per-address instruction classes, straight-line run lengths and per-run
-// memory-access summaries. It is immutable after AnalyzeBlocks and can be
-// shared between platforms running the same image.
+// per-address instruction classes and straight-line run lengths. It is
+// immutable after AnalyzeBlocks and can be shared between platforms running
+// the same image.
 type BlockSet struct {
-	class   []InstrClass
-	runLen  []int32
-	summary []RunSummary
+	class  []InstrClass
+	runLen []int32
 }
 
 // AnalyzeBlocks scans the pre-decoded instruction memory once and returns
@@ -92,17 +68,14 @@ type BlockSet struct {
 // unpowered bank faults exactly as Step would.
 func AnalyzeBlocks(m *IMem) *BlockSet {
 	b := &BlockSet{
-		class:   make([]InstrClass, isa.IMWords),
-		runLen:  make([]int32, isa.IMWords),
-		summary: make([]RunSummary, isa.IMWords),
+		class:  make([]InstrClass, isa.IMWords),
+		runLen: make([]int32, isa.IMWords),
 	}
 	// One backward pass: a run length is 0 at a stop, 1 at a control
 	// transfer (executable, then the next PC is dynamic), and otherwise
 	// extends the run that starts at the next address. The last IM word has
 	// no successor; ending the run there is always correct, merely
-	// conservative for code that wraps the PC. The run summary folds the
-	// same way: a suffix's memory accesses are the next address's summary,
-	// which is exactly the rest of this run.
+	// conservative for code that wraps the PC.
 	for pc := isa.IMWords - 1; pc >= 0; pc-- {
 		cls := Classify(m.decoded[pc].Op)
 		b.class[pc] = cls
@@ -112,20 +85,11 @@ func AnalyzeBlocks(m *IMem) *BlockSet {
 		case ClassControl:
 			b.runLen[pc] = 1
 		default:
-			var s RunSummary
-			switch cls {
-			case ClassLoad:
-				s = SumLoad
-			case ClassStore:
-				s = SumStore
-			}
 			if pc+1 < isa.IMWords {
 				b.runLen[pc] = 1 + b.runLen[pc+1]
-				s |= b.summary[pc+1]
 			} else {
 				b.runLen[pc] = 1
 			}
-			b.summary[pc] = s
 		}
 	}
 	return b
@@ -139,8 +103,3 @@ func (b *BlockSet) Class(pc int) InstrClass { return b.class[pc] }
 // ClassStop (yield to the cycle-accurate path), otherwise the distance to
 // and including the block's terminator.
 func (b *BlockSet) RunLen(pc int) int { return int(b.runLen[pc]) }
-
-// Summary returns the memory-access summary of the straight-line run
-// starting at pc. It is zero at a ClassStop (there is no run to summarize)
-// and at a ClassControl (a control transfer never accesses data memory).
-func (b *BlockSet) Summary(pc int) RunSummary { return b.summary[pc] }

@@ -1,5 +1,5 @@
 // Block-analysis reference tests: AnalyzeBlocks' one-pass backward tables
-// (class, run length, run summary) are pinned against a naive
+// (class and run length) are pinned against a naive
 // per-instruction forward reference, both on hand-built images covering
 // every terminator form — including the SEVS/sync-tagged ISE forms added
 // after the analyzer was written — and on every bundled benchmark program
@@ -16,28 +16,24 @@ import (
 	"repro/internal/power"
 )
 
-// refWalk computes the straight-line run length and memory summary starting
-// at pc by walking forward one instruction at a time — the obvious O(run)
-// reference the analyzer's backward pass must reproduce.
-func refWalk(m *mem.IMem, pc int) (runLen int, sum mem.RunSummary) {
+// refWalk computes the straight-line run length starting at pc by walking
+// forward one instruction at a time — the obvious O(run) reference the
+// analyzer's backward pass must reproduce.
+func refWalk(m *mem.IMem, pc int) (runLen int) {
 	for i := pc; i < isa.IMWords; i++ {
-		switch cls := mem.Classify(isa.Decode(m.Word(i)).Op); cls {
+		switch mem.Classify(isa.Decode(m.Word(i)).Op) {
 		case mem.ClassStop:
-			return runLen, sum
+			return runLen
 		case mem.ClassControl:
-			return runLen + 1, sum
-		case mem.ClassLoad:
-			sum |= mem.SumLoad
-		case mem.ClassStore:
-			sum |= mem.SumStore
+			return runLen + 1
 		}
 		runLen++
 	}
-	return runLen, sum
+	return runLen
 }
 
-// assertBlocksMatchReference checks class, run length and summary at every
-// address in pcs against the forward reference.
+// assertBlocksMatchReference checks class and run length at every address
+// in pcs against the forward reference.
 func assertBlocksMatchReference(t *testing.T, m *mem.IMem, b *mem.BlockSet, pcs []int) {
 	t.Helper()
 	for _, pc := range pcs {
@@ -45,20 +41,8 @@ func assertBlocksMatchReference(t *testing.T, m *mem.IMem, b *mem.BlockSet, pcs 
 		if got := b.Class(pc); got != wantCls {
 			t.Errorf("Class(%d) = %v, want %v", pc, got, wantCls)
 		}
-		wantLen, wantSum := refWalk(m, pc)
-		if wantCls == mem.ClassStop {
-			wantLen, wantSum = 0, 0
-		}
-		if wantCls == mem.ClassControl {
-			// A run starting at a control transfer is just that
-			// instruction; the forward walk from pc reports the same.
-			wantLen, wantSum = 1, 0
-		}
-		if got := b.RunLen(pc); got != wantLen {
-			t.Errorf("RunLen(%d) = %d, want %d", pc, got, wantLen)
-		}
-		if got := b.Summary(pc); got != wantSum {
-			t.Errorf("Summary(%d) = %v, want %v", pc, got, wantSum)
+		if got, want := b.RunLen(pc), refWalk(m, pc); got != want {
+			t.Errorf("RunLen(%d) = %d, want %d", pc, got, want)
 		}
 	}
 }
@@ -99,13 +83,9 @@ func TestAnalyzeBlocksTerminatorForms(t *testing.T) {
 	assertBlocksMatchReference(t, m, b, pcs)
 
 	// Spot-check the shape the engine depends on: the run at 0 spans the
-	// load, the store and the terminating branch, and summarizes both
-	// access kinds.
+	// load, the store and the terminating branch.
 	if got := b.RunLen(0); got != 4 {
 		t.Errorf("RunLen(0) = %d, want 4", got)
-	}
-	if s := b.Summary(0); !s.HasLoad() || !s.HasStore() || !s.TouchesMem() {
-		t.Errorf("Summary(0) = %v, want load+store", s)
 	}
 	// Runs stop before every ISE form, old and new.
 	for _, pc := range []int{5, 7, 9, 11, 13, 14} {
@@ -113,9 +93,9 @@ func TestAnalyzeBlocksTerminatorForms(t *testing.T) {
 			t.Errorf("RunLen(%d) = %d, want 0 (stop)", pc, b.RunLen(pc))
 		}
 	}
-	// The run at 10 is the lone load (SLEEP follows) and knows it loads.
-	if b.RunLen(10) != 1 || b.Summary(10) != mem.SumLoad {
-		t.Errorf("run at 10 = len %d sum %v, want 1/load", b.RunLen(10), b.Summary(10))
+	// The run at 10 is the lone load (SLEEP follows).
+	if b.RunLen(10) != 1 {
+		t.Errorf("RunLen(10) = %d, want 1", b.RunLen(10))
 	}
 }
 

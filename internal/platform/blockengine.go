@@ -1,7 +1,12 @@
 // Predecoded basic-block execution engine.
 //
-// The idle fast-forward (fastforward.go) removes the quiet cycles; this
-// engine attacks the loud ones. When cores are marching through
+// blockRun is the single entry to every fast path. Each call sorts the
+// cores into runnable on the next cycle, waking (running, but inside its
+// wake latency), gated and halted, and then leaps an idle stretch
+// (fastforward.go), returns to Step, or runs a single-core block or a
+// multi-core stride, each bounded by the next wake, ADC event or budget
+// (blockEnd). The idle leap removes the quiet cycles; the blocks and
+// strides attack the loud ones. When cores are marching through
 // straight-line code, Step still pays the full seven-phase toll per cycle —
 // classify every core, arbitrate request lists, re-derive the MemOp, walk
 // the opcode dispatch — even though nothing about the cycle is observable
@@ -18,17 +23,16 @@
 //   - multi-core strides (blockRunMulti): every running core, N ≥ 2,
 //     executes interleaved on the true cycle grid. The fast lane is the
 //     paper's MC steady state: lock-step cores at one PC share a classify
-//     and a broadcast-merged fetch, and a data-access set the interconnect
-//     proves conflict-free at every rotating-priority phase
-//     (interco.PlanConflictFree) needs no arbitration. Every other cycle —
-//     divergent PCs, bubbles, held fetches, colliding data accesses — is
-//     planned and arbitrated as Step's phases 1–4 would: both crossbars run
-//     Arbitrate at the rotating-priority phase a stepped cycle would see
-//     (the stride advances them cycle by cycle), a fetch loser stalls, and
-//     a data loser keeps its fetched instruction and re-requests next cycle
-//     without fetching. Planning never mutates simulated state, so a cycle
-//     whose granted fetch the engine cannot execute ends the stride before
-//     it commits.
+//     and a broadcast-merged fetch, and their data accesses are arbitrated
+//     as one set; when none stalls, the cycle commits without per-core
+//     planning. Every other cycle — divergent PCs, bubbles, held fetches,
+//     colliding data accesses — is planned and arbitrated as Step's phases
+//     1–4 would: both crossbars run Arbitrate at the rotating-priority
+//     phase a stepped cycle would see (the stride advances them cycle by
+//     cycle), a fetch loser stalls, and a data loser keeps its fetched
+//     instruction and re-requests next cycle without fetching. Planning
+//     never mutates simulated state, so a cycle whose granted fetch the
+//     engine cannot execute ends the stride before it commits.
 //
 // Unlike the idle leaps, these cycles are fully simulated — every
 // instruction executes with architectural fidelity; only the per-cycle
@@ -57,14 +61,14 @@
 // the participants left, so one working core beside parked pollers runs on
 // the lock-step lane. Parking is exact because a core's next state depends
 // only on its own state, its grants and the words it loads: a requester
-// alone on its banks is granted at every rotating-priority phase (the
-// argument behind interco.PlanConflictFree), no store has reached its read
-// set and its head state recurred, so every later period repeats the
-// recorded one. The stride materializes the poller — its recorded state at
-// its position, its activity in bulk — before any of that can change:
-// before planning a cycle in which another participant's request lands on
-// one of its banks while it uses that bank, after a cycle whose committed
-// store hits a word it loads, and when the stride ends. A parked poller
+// alone on its banks is granted by Arbitrate at every rotating-priority
+// phase (see interco.PhasePeriod), no store has reached its read set and
+// its head state recurred, so every later period repeats the recorded one.
+// The stride materializes the poller — its recorded state at its
+// position, its activity in bulk — before any of that can change: before
+// planning a cycle in which another participant's request lands on one of
+// its banks while it uses that bank, after a cycle whose committed store
+// hits a word it loads, and when the stride ends. A parked poller
 // therefore never shares a bank with an active request in a cycle it uses
 // it, so the active participants' arbitration and the stride's exit cycle
 // are those of the unparked stride. Lock-step pollers that fetch one PC and
@@ -82,7 +86,7 @@
 // polling alone, or a loop polling an MMIO register, runs exactly on
 // single-core blocks or Step.
 //
-// Like the idle fast-forward, everything here is simulation-process state:
+// Like the idle leap, everything here is simulation-process state:
 // Restore resets it (snapshot.go) and leap/engagement placement may differ
 // across Run chunkings while every architectural observable stays
 // bit-identical — enforced by blockengine_test.go, park_test.go, the
@@ -169,10 +173,10 @@ func (b *blockEngine) blockInit(ncore int) {
 func (p *Platform) BlockRuns() uint64 { return p.block.runs }
 
 // BlockCycles returns how many cycles were executed by the single-core
-// block path instead of through Step's seven phases. Unlike the
-// fast-forward engines' skipped cycles these were fully simulated — only
-// the per-cycle dispatch overhead was avoided — so the figure is a
-// wall-clock diagnostic, not a statement about the workload.
+// block path instead of through Step's seven phases. Unlike idle-leapt
+// cycles these were fully simulated — only the per-cycle dispatch overhead
+// was avoided — so the figure is a wall-clock diagnostic, not a statement
+// about the workload.
 func (p *Platform) BlockCycles() uint64 { return p.block.cycles }
 
 // BlockMCStrides returns how many multi-core strides executed at least one
@@ -230,9 +234,10 @@ var blockStrideCoresName = [isa.MaxCores]string{
 	"engine.block_stride_cycles.c8",
 }
 
-// blockRun executes as many upcoming cycles as it can prove safe on the
-// basic-block fast path, stopping at limit (the caller's exclusive cycle
-// budget). It either advances the platform exactly as the same number of
+// blockRun is the single entry to the fast paths: it takes as many
+// upcoming cycles as it can prove safe, stopping at limit (the caller's
+// exclusive cycle budget) or earlier at blockEnd, the one bound every path
+// shares. It either advances the platform exactly as the same number of
 // Steps would, or returns having touched nothing — every bail-out happens
 // before the cycle being abandoned has any effect, so Step re-simulates it
 // with exact-mode accounting.
@@ -240,50 +245,59 @@ func (p *Platform) blockRun(limit uint64) {
 	if p.fault != nil {
 		return
 	}
-	// Count the running cores; gated and halted cores contribute fixed
-	// per-cycle counter increments on either path.
-	anchor := -1
-	nrun := 0
-	var gated, halted uint64
-	for c := 0; c < p.ncore; c++ {
-		switch p.sync.State(c) {
-		case core.StateRunning:
-			nrun++
-			if anchor < 0 {
-				anchor = c
+	for {
+		// Sort the cores by what they do on the next cycle. Gated, waking
+		// and halted cores contribute fixed per-cycle counter increments on
+		// every path; a waking core counts as gated, as Step classifies it.
+		anchor := -1
+		var nrun, waking, gated, halted uint64
+		for c := 0; c < p.ncore; c++ {
+			switch p.sync.State(c) {
+			case core.StateRunning:
+				if !p.sync.Runnable(c, p.cycle+1) {
+					waking++
+					continue
+				}
+				if nrun == 0 {
+					anchor = c
+				}
+				nrun++
+			case core.StateGated:
+				gated++
+			default:
+				halted++
 			}
-		case core.StateGated:
-			gated++
-		default:
-			halted++
 		}
-	}
-	switch {
-	case nrun == 0:
-		return // fully idle: the quiescence engine's territory
-	case nrun == 1:
-		p.blockRunSingle(limit, anchor, gated, halted)
-	default:
-		p.blockRunMulti(limit, gated, halted)
+		end := p.blockEnd(limit)
+		switch {
+		case end <= p.cycle:
+			return // at the budget, or an event is due next cycle: Step's turn
+		case nrun == 0:
+			// Run stops one Step after the last core halts.
+			if halted == uint64(p.ncore) {
+				return
+			}
+			p.leap(end-p.cycle, gated+waking, halted)
+			continue // a core whose wake latency ends here may run on blocks
+		case waking > 0:
+			return // a core inside its wake latency beside running ones
+		case nrun == 1:
+			p.blockRunSingle(end, anchor, gated, halted)
+		default:
+			p.blockRunMulti(end, gated, halted)
+		}
+		return
 	}
 }
 
 // blockRunSingle is the one-running-core fast path (see the file comment).
-func (p *Platform) blockRunSingle(limit uint64, anchor int, gated, halted uint64) {
+func (p *Platform) blockRunSingle(end uint64, anchor int, gated, halted uint64) {
 	cr := p.cores[anchor]
 	if cr.Fetched {
 		return // held instruction from a DM stall: Step must replay it
 	}
-	if !p.sync.Runnable(anchor, p.cycle+1) {
-		return // inside its wake latency: these are idle cycles
-	}
 	if cr.Bubble == 0 && p.block.set.RunLen(cr.PC) == 0 {
 		return // parked on a stop instruction: nothing for the fast path
-	}
-
-	end := p.blockEnd(limit)
-	if end <= p.cycle {
-		return
 	}
 
 	start := p.cycle
@@ -379,7 +393,6 @@ loop:
 	p.sync.FastForward(cyc)
 	p.imx.AdvanceN(n)
 	p.dmx.AdvanceN(n)
-	p.lastCycleIdle = false
 	p.block.runs++
 	p.block.cycles += n
 	// One span per stride: the engine bails before MMIO, sync ISE, HALT
@@ -402,31 +415,20 @@ const (
 // interleaved on the cycle grid, each cycle planned and arbitrated at Step's
 // rotating-priority phase before it commits, with one batched
 // counters/synchronizer flush for the whole stride (see the file comment).
-func (p *Platform) blockRunMulti(limit uint64, gated, halted uint64) {
+func (p *Platform) blockRunMulti(end uint64, gated, halted uint64) {
 	be := &p.block
 
-	// Collect the participants and check the per-core entry conditions.
-	// memPlan tracks whether any participant's current straight-line run
-	// touches data memory at all (mem.RunSummary): pure-compute strides —
-	// the lock-step common case between sync points — skip data-access
-	// planning entirely until a branch lands in a run that needs it. A held
-	// fetch sits on a load or store, so it sets memPlan too. A poll span
-	// whose core left the loop outside a stride (in Step or a single-core
-	// run) closes here; nyield counts the spans left open.
+	// Collect the participants: every running core, all of them runnable
+	// (blockRun). A poll span whose core left the loop outside a stride (in
+	// Step or a single-core run) closes here; nyield counts the spans left
+	// open.
 	all := be.active[:0]
-	memPlan := false
 	nyield := 0
 	for c := 0; c < p.ncore; c++ {
 		if p.sync.State(c) != core.StateRunning {
 			continue
 		}
-		if !p.sync.Runnable(c, p.cycle+1) {
-			return // inside its wake latency: these are idle cycles
-		}
 		pc := p.cores[c].PC
-		if be.set.Summary(pc).TouchesMem() {
-			memPlan = true
-		}
 		if y := &be.yield[c]; y.on {
 			if pc < y.lo || pc > y.hi {
 				y.on = false
@@ -437,11 +439,6 @@ func (p *Platform) blockRunMulti(limit uint64, gated, halted uint64) {
 		all = append(all, c)
 	}
 	be.active = all
-
-	end := p.blockEnd(limit)
-	if end <= p.cycle {
-		return
-	}
 
 	// Per-cycle scratch, indexed by position in act, the participants not
 	// parked; imWho and dmWho map a request back to its participant.
@@ -468,9 +465,7 @@ func (p *Platform) blockRunMulti(limit uint64, gated, halted uint64) {
 stride:
 	for cyc < end {
 		if pend != 0 {
-			if p.unpark(pend, cyc, &sd) {
-				memPlan = true
-			}
+			p.unpark(pend, cyc, &sd)
 			pend = 0
 			act = p.strideLive(all, act, &crs)
 		}
@@ -501,7 +496,7 @@ stride:
 		// with no pipeline bubble and no held fetch — the paper's MC steady
 		// state. One shared classify and one broadcast-merged fetch serve all
 		// cores; only the data addresses (register-dependent) are planned per
-		// core, and a conflict-free set is granted at every phase.
+		// core, and the set is arbitrated at the current phase.
 		pc0 := crs[0].PC
 		lockstep := crs[0].Bubble == 0 && !crs[0].Fetched
 		for k := 1; k < nact && lockstep; k++ {
@@ -540,7 +535,11 @@ stride:
 				if pend != 0 {
 					continue // a parked requester loads from one of these banks now
 				}
-				dmAcc, ok = interco.PlanConflictFree(dm)
+				// Arbitrate changes only dm's outcome fields and its own
+				// scratch, never the phase, so a stalled set falls through
+				// to the generic lane, which plans and arbitrates it again.
+				res := p.dmx.Arbitrate(dm)
+				dmAcc, ok = res.Accesses, res.Stalled == 0
 				if cls == mem.ClassStore {
 					nw = len(dm)
 				}
@@ -565,12 +564,6 @@ stride:
 					}
 					if cls == mem.ClassControl {
 						nyield += p.blockRespan(act[i], pc0, tk)
-						// Refresh the memory-planning invariant for the
-						// generic lane (a diverging branch may drop out of
-						// lock-step next cycle).
-						if !memPlan && be.set.Summary(cr.PC).TouchesMem() {
-							memPlan = true
-						}
 					}
 				}
 				sd.Instrs += uint64(nact)
@@ -660,10 +653,7 @@ stride:
 				}
 			}
 			pins[i], mcls[i] = ins, cls
-			// Invariant: while !memPlan no run in flight contains a load or
-			// store (entry check + the refresh after every control transfer
-			// below), so no address needs computing.
-			if !memPlan || cls != mem.ClassLoad && cls != mem.ClassStore {
+			if cls != mem.ClassLoad && cls != mem.ClassStore {
 				continue
 			}
 			addr := cr.Regs[ins.Rs1] + uint16(ins.Imm)
@@ -734,14 +724,10 @@ stride:
 				sd.BranchBubbles++
 			}
 			// Straight-line runs only ever end at a control transfer, so
-			// this is the one place a core can enter a new run or leave a
-			// loop mid-stride: refresh the yield span and the
-			// memory-planning flag (taken or fall-through).
+			// this is the one place a core can leave a loop mid-stride:
+			// refresh the yield span (taken or fall-through).
 			if mcls[i] == mem.ClassControl {
 				nyield += p.blockRespan(c, prevPC, tk)
-				if !memPlan && be.set.Summary(cr.PC).TouchesMem() {
-					memPlan = true
-				}
 			}
 			sd.Instrs++
 		}
@@ -781,7 +767,6 @@ stride:
 	}
 	p.cycle = cyc
 	p.sync.FastForward(cyc)
-	p.lastCycleIdle = false
 	be.mcRuns++
 	be.mcCycles += n
 	be.mcAligned += aligned

@@ -66,12 +66,11 @@ func diffImage(words []isa.Word, nsync int) *Image {
 func runDiffPair(t *testing.T, img *Image, budget uint64) (exact, fast *Platform, exactErr, fastErr error) {
 	t.Helper()
 	build := func(exactMode bool) (*Platform, error) {
-		cfg := scCfg()
-		cfg.Exact = exactMode
-		p, err := New(cfg, img)
+		p, err := New(scCfg(), img)
 		if err != nil {
 			t.Fatal(err)
 		}
+		p.SetExact(exactMode)
 		return p, p.Run(budget)
 	}
 	exact, exactErr = build(true)
@@ -256,16 +255,15 @@ func TestBlockEngineSnapshotMidStrideMC(t *testing.T) {
 			cfg := mcCfg()
 			first := tc.first(t)
 
-			cfg.Exact = true
 			exact, err := New(cfg, tc.img(t))
 			if err != nil {
 				t.Fatal(err)
 			}
+			exact.SetExact(true)
 			if err := exact.Run(total); err != nil {
 				t.Fatal(err)
 			}
 
-			cfg.Exact = false
 			fast, err := New(cfg, tc.img(t))
 			if err != nil {
 				t.Fatal(err)
@@ -322,16 +320,15 @@ func TestBlockEngineSnapshotMidBlock(t *testing.T) {
 	const total, first = 50_000, 12_345
 	cfg := scCfg()
 
-	cfg.Exact = true
 	exact, err := New(cfg, blockKernelImage())
 	if err != nil {
 		t.Fatal(err)
 	}
+	exact.SetExact(true)
 	if err := exact.Run(total); err != nil {
 		t.Fatal(err)
 	}
 
-	cfg.Exact = false
 	fast, err := New(cfg, blockKernelImage())
 	if err != nil {
 		t.Fatal(err)
@@ -386,15 +383,14 @@ func TestBlockEngineYieldsSpinLoops(t *testing.T) {
 	}
 	const budget = 30_000
 	cfg := scCfg()
-	cfg.Exact = true
 	exact, err := New(cfg, img())
 	if err != nil {
 		t.Fatal(err)
 	}
+	exact.SetExact(true)
 	if err := exact.Run(budget); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Exact = false
 	fast, err := New(cfg, img())
 	if err != nil {
 		t.Fatal(err)
@@ -652,12 +648,11 @@ func contendedImage(t *testing.T) *Image {
 // an exact run of img holds a DM-stalled fetch.
 func heldFetchCycle(t *testing.T, img *Image, from uint64) uint64 {
 	t.Helper()
-	cfg := mcCfg()
-	cfg.Exact = true
-	p, err := New(cfg, img)
+	p, err := New(mcCfg(), img)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.SetExact(true)
 	if err := p.Run(from); err != nil {
 		t.Fatal(err)
 	}

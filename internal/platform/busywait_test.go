@@ -305,7 +305,6 @@ func TestSpinFastForwardStatistics(t *testing.T) {
 	second := secondConsumer()
 	mk := func(t *testing.T) *Image { return busyWaitImage(t, spinConsumerSrc, second) }
 	cfg := nosyncCfg()
-	cfg.Exact = false
 	p, err := New(cfg, mk(t))
 	if err != nil {
 		t.Fatal(err)

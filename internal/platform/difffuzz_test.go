@@ -301,18 +301,19 @@ func fuzzImage(rng *rand.Rand, ncore, layout, nsync int, poll bool) *Image {
 	return img
 }
 
-// fuzzRun builds one platform and runs the budget, optionally split across
-// two Run calls (fast-path engagement decisions depend on chunk boundaries;
-// the observable result must not). The same split is applied to both
-// platforms of a pair: every Run call steps at least one cycle even on a
-// fully-halted platform, so chunking is itself observable — identically so
-// in both modes.
-func fuzzRun(t *testing.T, img *Image, cfg Config, budget uint64, split uint64) (*Platform, error) {
+// fuzzRun builds one platform, exact or with every fast path, and runs the
+// budget, optionally split across two Run calls (fast-path engagement
+// decisions depend on chunk boundaries; the observable result must not).
+// The same split is applied to both platforms of a pair: every Run call
+// steps at least one cycle even on a fully-halted platform, so chunking is
+// itself observable — identically so in both modes.
+func fuzzRun(t *testing.T, img *Image, cfg Config, exact bool, budget uint64, split uint64) (*Platform, error) {
 	t.Helper()
 	p, err := New(cfg, img)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.SetExact(exact)
 	if split > 0 && split < budget {
 		if err := p.Run(split); err != nil {
 			return p, err
@@ -399,10 +400,8 @@ func TestDiffFuzz(t *testing.T) {
 						split = 1 + uint64(rng.Int63n(int64(budget-1)))
 					}
 
-					ecfg := cfg
-					ecfg.Exact = true
-					exact, exactErr := fuzzRun(t, img, ecfg, budget, split)
-					fast, fastErr := fuzzRun(t, img, cfg, budget, split)
+					exact, exactErr := fuzzRun(t, img, cfg, true, budget, split)
+					fast, fastErr := fuzzRun(t, img, cfg, false, budget, split)
 					assertFuzzIdentical(t, exact, fast, exactErr, fastErr)
 					cases[layout]++
 					blockCycles += fast.BlockCycles()

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -13,12 +14,11 @@ import (
 func runModes(t *testing.T, cfg Config, mkImg func(t *testing.T) *Image, n uint64) (exact, fast *Platform) {
 	t.Helper()
 	build := func(exactMode bool) *Platform {
-		c := cfg
-		c.Exact = exactMode
-		p, err := New(c, mkImg(t))
+		p, err := New(cfg, mkImg(t))
 		if err != nil {
 			t.Fatal(err)
 		}
+		p.SetExact(exactMode)
 		p.SetObserver(obs.NewSink(obs.NewTimeline(obs.DefaultTimelineCap), nil))
 		if err := p.Run(n); err != nil {
 			t.Fatal(err)
@@ -193,6 +193,57 @@ func TestFastForwardDeadlockLeap(t *testing.T) {
 	}
 }
 
+// TestIdleLeapFromFirstGatedCycle pins where an idle leap starts: right
+// after the stepped cycle in which the last running core executed SLEEP, a
+// Run below the next ADC event leaps the whole gated stretch without
+// stepping a single idle cycle first.
+func TestIdleLeapFromFirstGatedCycle(t *testing.T) {
+	src := `
+.code main
+    li   r4, 0x7F03     ; RegIRQSub
+    li   r1, 1          ; IRQADC0
+    sw   r1, 0(r4)
+loop:
+    sleep
+    j    loop
+`
+	cfg := scCfg()
+	cfg.SampleRateHz = 250
+	cfg.Traces[0] = []int16{1, 2, 3}
+	gated := func(exactMode bool) *Platform {
+		p, err := New(cfg, buildImage(t, 0, 0, []string{src}, []int{0}, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.SetExact(exactMode)
+		p.SetObserver(obs.NewSink(obs.NewTimeline(obs.DefaultTimelineCap), nil))
+		for p.CoreState(0) != core.StateGated {
+			if err := p.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return p
+	}
+	exact, fast := gated(true), gated(false)
+	k := fast.adc.NextEventCycle() - 1 - fast.Cycle()
+	if k < 1000 {
+		t.Fatalf("only %d cycles before the first ADC event", k)
+	}
+	steps, skipped := fast.StepCycles(), fast.FFSkippedCycles()
+	for _, p := range []*Platform{exact, fast} {
+		if err := p.Run(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fast.StepCycles() - steps; got != 0 {
+		t.Errorf("stepped %d idle cycles before leaping", got)
+	}
+	if got := fast.FFSkippedCycles() - skipped; got != k {
+		t.Errorf("leapt %d of %d gated cycles", got, k)
+	}
+	assertIdentical(t, exact, fast)
+}
+
 // TestFastForwardHaltedStops verifies Run's early-stop semantics survive
 // the refactor: an already-halted platform steps exactly once per Run call
 // in both modes.
@@ -202,12 +253,11 @@ func TestFastForwardHaltedStops(t *testing.T) {
     halt
 `
 	for _, exactMode := range []bool{true, false} {
-		cfg := scCfg()
-		cfg.Exact = exactMode
-		p, err := New(cfg, buildImage(t, 0, 0, []string{src}, []int{0}, nil))
+		p, err := New(scCfg(), buildImage(t, 0, 0, []string{src}, []int{0}, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
+		p.SetExact(exactMode)
 		if err := p.Run(10_000); err != nil {
 			t.Fatal(err)
 		}

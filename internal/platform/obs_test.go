@@ -32,7 +32,6 @@ func countKind(events []obs.Event, kind obs.Kind) int {
 func TestObserverSpinLeapParity(t *testing.T) {
 	mk := func(t *testing.T) *Image { return busyWaitImage(t, spinConsumerSrc, secondConsumer()) }
 	cfg := nosyncCfg()
-	cfg.Exact = false
 	plain, err := New(cfg, mk(t))
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +207,6 @@ func TestObserverDisabledZeroAlloc(t *testing.T) {
 func TestObserverAdoptResets(t *testing.T) {
 	mk := func(t *testing.T) *Image { return busyWaitImage(t, spinConsumerSrc) }
 	cfg := nosyncCfg()
-	cfg.Exact = false
 	p, err := New(cfg, mk(t))
 	if err != nil {
 		t.Fatal(err)
@@ -310,12 +308,11 @@ func TestTracerCapturesSyncProtocol(t *testing.T) {
 // without a timeline and compares every observable output.
 func TestTracerDoesNotAlterExecution(t *testing.T) {
 	run := func(sink *obs.Sink) *Platform {
-		cfg := mcCfg()
-		cfg.Exact = true
-		p, err := New(cfg, producerConsumerImage(t))
+		p, err := New(mcCfg(), producerConsumerImage(t))
 		if err != nil {
 			t.Fatal(err)
 		}
+		p.SetExact(true)
 		p.SetObserver(sink)
 		if err := p.Run(10_000); err != nil {
 			t.Fatal(err)

@@ -5,18 +5,21 @@
 // depends only on its own state, its grants and the words it loads, so once
 // one period of the loop is recorded and its head state is seen to recur
 // with every loaded word unchanged, every later period repeats the recorded
-// one cycle for cycle — as long as the poller is granted every request (it
-// is alone on its banks in every cycle it uses them) and no store reaches
-// its read set. A parked poller leaves the stride's per-cycle plan: its
-// position at cycle t is (t − t0) mod L, and its counters are accounted in
-// bulk when it is materialized, which happens when an active participant's
-// request lands on one of its banks in a cycle it uses that bank (before the
-// cycle is planned), when a committed store hits its read set (after that
-// cycle) and when the stride ends. A lock-step group of pollers fetching
-// one PC and loading the same words parks as one requester, counted as
-// Arbitrate merges it. When every participant is parked, the stride leaps to
-// its end. The recordings are simulation-process state, like the poll spans
-// they hang off: Restore clears them.
+// one cycle for cycle — as long as the poller is granted every request and
+// no store reaches its read set. The grants hold because the poller is
+// alone on its banks in every cycle it uses them, and Arbitrate grants a
+// request set without an incompatible same-bank pair in full at every
+// rotating-priority phase (interco.PhasePeriod). A parked poller leaves the
+// stride's per-cycle plan: its position at cycle t is (t − t0) mod L, and
+// its counters are accounted in bulk when it is materialized, which happens
+// when an active participant's request lands on one of its banks in a cycle
+// it uses that bank (before the cycle is planned), when a committed store
+// hits its read set (after that cycle) and when the stride ends. A
+// lock-step group of pollers fetching one PC and loading the same words
+// parks as one requester, counted as Arbitrate merges it. When every
+// participant is parked, the stride leaps to its end. The recordings are
+// simulation-process state, like the poll spans they hang off: Restore
+// clears them.
 
 package platform
 
@@ -380,9 +383,8 @@ func (be *blockEngine) parkStoreHit(bank, off int) uint8 {
 // whole periods times the period's activity plus the partial period's
 // prefix, with k members' fetches and loads merged into one access each.
 // The members stay yielded participants and keep their proven recordings,
-// so they may park again at a later head visit. It reports whether a
-// materialized core's straight-line run touches data memory.
-func (p *Platform) unpark(leads uint8, cyc uint64, sd *power.StrideDelta) (touchesMem bool) {
+// so they may park again at a later head visit.
+func (p *Platform) unpark(leads uint8, cyc uint64, sd *power.StrideDelta) {
 	be := &p.block
 	for m := leads; m != 0; m &= m - 1 {
 		lead := bits.TrailingZeros8(m)
@@ -403,9 +405,7 @@ func (p *Platform) unpark(leads uint8, cyc uint64, sd *power.StrideDelta) (touch
 		be.mcParked += k * el
 		for mm := r.members; mm != 0; mm &= mm - 1 {
 			c := bits.TrailingZeros8(mm)
-			cr := p.cores[c]
-			*cr = be.rec[c].states[pos]
-			touchesMem = touchesMem || be.set.Summary(cr.PC).TouchesMem()
+			*p.cores[c] = be.rec[c].states[pos]
 		}
 		be.parked &^= r.members
 		be.leads &^= 1 << lead
@@ -416,7 +416,6 @@ func (p *Platform) unpark(leads uint8, cyc uint64, sd *power.StrideDelta) (touch
 		be.imPark |= r.imUse
 		be.dmPark |= r.dmUse
 	}
-	return touchesMem
 }
 
 // strideLive fills act and crs with the stride's participants that are not

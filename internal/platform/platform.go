@@ -13,24 +13,24 @@
 //
 // Run is a multi-mode engine over one cycle-accurate core: Step (step.go)
 // simulates a single platform cycle in seven phases, and three fast paths
-// take over wherever they provably match it. The idle fast-forward
-// (fastforward.go) leaps over fully quiescent stretches, in which every
-// core is halted, gated or inside its wake latency. The basic-block engine
-// (blockengine.go) executes compute-bound stretches from per-image
-// predecoded block tables with bulk accounting, as single-core block runs
-// and as multi-core strides that arbitrate bank conflicts exactly as Step
-// does, removing Step's per-cycle dispatch overhead. Strides park the
-// busy-wait pollers they prove periodic (park.go, the MC-nosync idiom) and
-// leap to their end once every participant is parked.
-// All three are bit-identical to stepping; Config.Exact / SetExact turn all
-// of them off, as an escape hatch and as the reference the
+// take over wherever they provably match it, all entered through one
+// dispatcher (blockRun, blockengine.go). The idle leap (fastforward.go)
+// skips fully quiescent stretches, in which every core is halted, gated or
+// inside its wake latency. The basic-block engine executes compute-bound
+// stretches from per-image predecoded block tables with bulk accounting, as
+// single-core block runs and as multi-core strides that arbitrate bank
+// conflicts exactly as Step does, removing Step's per-cycle dispatch
+// overhead. Strides park the busy-wait pollers they prove periodic
+// (park.go, the MC-nosync idiom) and leap to their end once every
+// participant is parked. All three are bit-identical to stepping; SetExact
+// turns all of them off, as an escape hatch and as the reference the
 // golden-equivalence tests compare against.
 //
 // # Snapshots
 //
 // Snapshot/Restore (snapshot.go) deep-copy and rewind the platform's
 // mutable state. The invariant callers rely on: continuing a restored
-// platform is bit-identical to never having stopped. Fast-forward
+// platform is bit-identical to never having stopped. Fast-path
 // bookkeeping is wall-clock diagnostics, not simulated state: leap
 // placement may differ across Run chunkings and restores while every
 // architectural observable stays identical.
@@ -106,18 +106,10 @@ type Config struct {
 	// (multi-rate scenarios); zero entries fall back to SampleRateHz.
 	ChannelRateHz [periph.NumADCChannels]float64
 	Traces        [periph.NumADCChannels][]int16
-
-	// MaxDebug caps the debug/error traces (0 means a generous default).
-	MaxDebug int
-
-	// Exact disables all three fast paths — idle fast-forward, single-core
-	// block runs and multi-core strides — forcing the
-	// cycle-by-cycle path for every simulated cycle. Both modes produce
-	// bit-identical counters, traces and debug output (enforced by the
-	// golden-equivalence tests); Exact exists as an escape hatch and as the
-	// reference for those tests.
-	Exact bool
 }
+
+// maxDebug caps the debug and error traces.
+const maxDebug = 1 << 20
 
 // Platform is one instantiated system ready to run.
 type Platform struct {
@@ -136,9 +128,7 @@ type Platform struct {
 	ctr   power.Counters
 	cycle uint64
 
-	// Idle fast-forward engine state (see fastforward.go).
-	exact         bool
-	lastCycleIdle bool // previous stepped cycle had every core idle/halted
+	exact bool // every fast path off (SetExact)
 
 	// Idle-leap and stepped-cycle odometers: process state like the block
 	// diagnostics, so Restore resets them.
@@ -224,7 +214,7 @@ func (p *Platform) obsStateReset() {
 }
 
 // coreStateCode maps a core status onto its core-state code (-1: none).
-var coreStateCode = [...]int64{stIdle: obs.StateIdle, stExec: obs.StateExec, stIMStall: obs.StateStall, stDMStall: obs.StateStall, stBubble: obs.StateBubble, stHalted: -1}
+var coreStateCode = [...]int64{stIdle: obs.StateIdle, stExec: obs.StateExec, stStall: obs.StateStall, stBubble: obs.StateBubble, stHalted: -1}
 
 // barrierWaitName indexes the per-group barrier wait-time histograms so
 // the enabled emission path never formats strings.
@@ -282,8 +272,7 @@ type coreStatus uint8
 const (
 	stIdle coreStatus = iota // gated or waking
 	stExec
-	stIMStall
-	stDMStall
+	stStall // lost fetch or data arbitration
 	stBubble
 	stHalted
 )
@@ -322,10 +311,6 @@ func New(cfg Config, img *Image) (*Platform, error) {
 	if !(cfg.VoltageV > 0 && cfg.VoltageV <= MaxVoltageV) {
 		return nil, fmt.Errorf("platform: supply voltage %v V must be positive and at most %g V", cfg.VoltageV, MaxVoltageV)
 	}
-	if cfg.MaxDebug == 0 {
-		cfg.MaxDebug = 1 << 20
-	}
-
 	p := &Platform{
 		cfg:         cfg,
 		ncore:       n,
@@ -342,7 +327,6 @@ func New(cfg Config, img *Image) (*Platform, error) {
 		memOps:      make([]cpu.MemOp, n),
 		obsWait:     make([]uint64, n),
 		obsState:    make([]int64, n), // set by SetObserver before any use
-		exact:       cfg.Exact,
 	}
 	p.sync = core.NewSynchronizer(n, img.NumSyncPoints, cfg.Arch, &p.ctr)
 
@@ -468,11 +452,11 @@ func New(cfg Config, img *Image) (*Platform, error) {
 func (p *Platform) Counters() *power.Counters { return &p.ctr }
 
 // SetExact forces (true) the cycle-by-cycle path for subsequent Run calls,
-// disabling all three fast paths — idle fast-forward, block runs and
-// strides — or re-enables them (false). Mode switches are safe at any
-// cycle boundary: all paths maintain identical architectural state, and a
-// switch resets no engine odometer. An exact stretch after a fast one opens
-// with a record of every core's state when a sink is attached.
+// disabling all three fast paths — idle leaps, block runs and strides — or
+// re-enables them (false); a new platform runs them. Mode switches are safe
+// at any cycle boundary: all paths maintain identical architectural state,
+// and a switch resets no engine odometer. An exact stretch after a fast one
+// opens with a record of every core's state when a sink is attached.
 func (p *Platform) SetExact(exact bool) {
 	if exact && !p.exact {
 		p.obsStateReset()
@@ -483,13 +467,12 @@ func (p *Platform) SetExact(exact bool) {
 // Exact reports whether the fast paths are disabled (see SetExact).
 func (p *Platform) Exact() bool { return p.exact }
 
-// FFLeaps returns how many bulk idle leaps the fast-forward engine took.
-// Like BlockRuns it is a wall-clock diagnostic that Restore resets.
+// FFLeaps returns how many bulk idle leaps the platform took. Like
+// BlockRuns it is a wall-clock diagnostic that Restore resets.
 func (p *Platform) FFLeaps() uint64 { return p.ffLeaps }
 
-// FFSkippedCycles returns how many cycles were accounted in bulk by the
-// fast-forward engine instead of being individually stepped. Restore resets
-// it.
+// FFSkippedCycles returns how many cycles idle leaps accounted in bulk
+// instead of stepping them one by one. Restore resets it.
 func (p *Platform) FFSkippedCycles() uint64 { return p.ffSkipped }
 
 // StepCycles returns how many cycles Step simulated one by one. On a

@@ -16,8 +16,9 @@ import (
 //	2 — power.Arch became a sync-architecture descriptor struct and
 //	    core.SyncState gained group/event/timeout state, changing the gob
 //	    shape of both. Later dropped the instruction tracer's status
-//	    cursors and the idle engine's odometers without a bump: gob skips
-//	    the fields in older streams.
+//	    cursors, the idle engine's odometers and the idle-cycle flag
+//	    (LastCycleIdle) without a bump: gob skips the fields in older
+//	    streams.
 const SnapshotVersion = 2
 
 // snapshotMagic guards against feeding an arbitrary gob stream into the

@@ -40,8 +40,7 @@ type Snapshot struct {
 	ClockHz float64
 	NCore   int
 
-	Cycle         uint64
-	LastCycleIdle bool
+	Cycle uint64
 
 	Cores []cpu.Core
 	DM    mem.DMemState
@@ -75,7 +74,6 @@ func (p *Platform) Snapshot() *Snapshot {
 		ClockHz:       p.cfg.ClockHz,
 		NCore:         p.ncore,
 		Cycle:         p.cycle,
-		LastCycleIdle: p.lastCycleIdle,
 		Cores:         make([]cpu.Core, p.ncore),
 		DM:            p.dmem.Snapshot(),
 		Sync:          p.sync.Snapshot(),
@@ -152,7 +150,6 @@ func (p *Platform) Restore(s *Snapshot) error {
 	p.imx.SetPhase(s.IMXPhase)
 	p.dmx.SetPhase(s.DMXPhase)
 	p.cycle = s.Cycle
-	p.lastCycleIdle = s.LastCycleIdle
 	p.ctr = s.Counters
 	copy(p.perCoreBusy, s.PerCoreBusy)
 	p.lastSample = s.LastSample

@@ -43,7 +43,7 @@ func (p *Platform) Step() error {
 			// Held instruction from a previous DM stall: no fetch.
 			p.status[c] = stExec
 		default:
-			p.status[c] = stExec // provisional; may become stIMStall
+			p.status[c] = stExec // provisional; may become stStall
 			pc := cr.PC
 			p.imReqs = append(p.imReqs, interco.Request{
 				Core: c, Bank: isa.IMBankOf(pc), Offset: pc,
@@ -62,7 +62,7 @@ func (p *Platform) Step() error {
 		for i := range p.imReqs {
 			c := p.imWho[i]
 			if !p.imReqs[i].Granted {
-				p.status[c] = stIMStall
+				p.status[c] = stStall
 				continue
 			}
 			cr := p.cores[c]
@@ -117,7 +117,7 @@ func (p *Platform) Step() error {
 			c := p.dmWho[i]
 			r := &p.dmReqs[i]
 			if !r.Granted {
-				p.status[c] = stDMStall
+				p.status[c] = stStall
 				continue
 			}
 			if r.Write {
@@ -166,30 +166,18 @@ func (p *Platform) Step() error {
 	// Phase 6: commit merged synchronization operations and wakes.
 	p.sync.Commit(cyc)
 
-	// Phase 7: cycle accounting. idle tracks whether this cycle performed
-	// any work at all; a fully idle cycle arms the fast-forward engine
-	// (fastforward.go), which may leap over the identical cycles to come.
-	// An exact cycle with a sink attached also records each core whose
-	// state changed.
-	idle := true
+	// Phase 7: cycle accounting. An exact cycle with a sink attached also
+	// records each core whose state changed.
 	record := p.exact && p.obs != nil
 	for c := 0; c < p.ncore; c++ {
 		st := p.status[c]
 		switch st {
 		case stExec:
-			idle = false
 			p.ctr.CoreActive++
 			p.ctr.UngatedCoreCycles++
 			p.perCoreBusy[c]++
 			p.windowBusy[c]++
-		case stIMStall, stDMStall:
-			idle = false
-			p.ctr.CoreStall++
-			p.ctr.UngatedCoreCycles++
-			p.perCoreBusy[c]++
-			p.windowBusy[c]++
-		case stBubble:
-			idle = false
+		case stStall, stBubble:
 			p.ctr.CoreStall++
 			p.ctr.UngatedCoreCycles++
 			p.perCoreBusy[c]++
@@ -221,7 +209,6 @@ func (p *Platform) Step() error {
 	p.ctr.Cycles++
 	p.imx.Advance()
 	p.dmx.Advance()
-	p.lastCycleIdle = idle
 	return nil
 }
 
@@ -291,11 +278,11 @@ func (p *Platform) mmioWrite(c int, addr, v uint16) {
 	case isa.RegIRQPend:
 		p.sync.ClearPending(c, v)
 	case isa.RegDebugOut:
-		if len(p.debug) < p.cfg.MaxDebug {
+		if len(p.debug) < maxDebug {
 			p.debug = append(p.debug, DebugEntry{Core: uint8(c), Cycle: p.cycle, Value: v})
 		}
 	case isa.RegDebugErr:
-		if len(p.errCodes) < p.cfg.MaxDebug {
+		if len(p.errCodes) < maxDebug {
 			p.errCodes = append(p.errCodes, DebugEntry{Core: uint8(c), Cycle: p.cycle, Value: v})
 		}
 	case isa.RegHostFlag:
